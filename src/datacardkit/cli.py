@@ -79,6 +79,7 @@ from .serialization import (
     TEMPLATE_EXTENSION,
     canonical_json_bytes,
     card_digest,
+    decode_card,
     parse_card,
     parse_template,
     parse_timestamp,
@@ -146,18 +147,13 @@ def _template_from_ref(ref: str, store: TemplateStore) -> Template:
 
 def _load_card(path: str, store: TemplateStore) -> tuple[Card, Template, Template]:
     """Returns (card, template as authored, resolved template)."""
-    import json as _json
-
-    data = _read(path)
     try:
-        obj = _json.loads(data.decode("utf-8"))
-        template_id = obj["template_id"]
-        template_version = obj["template_version"]
-    except Exception:
-        raise ParseError(f"{path} is not a card document") from None
+        doc, (template_id, template_version) = decode_card(_read(path))
+    except ParseError as exc:
+        raise ParseError(f"{path} is not a card document ({exc})") from None
     template = store.get(template_id, template_version)
     resolved = resolve(template, store)
-    return parse_card(data, resolved), template, resolved
+    return parse_card(doc, resolved), template, resolved
 
 
 def _print_diagnostics(diagnostics, prefix: str = "") -> None:

@@ -26,6 +26,7 @@ from .serialization import (
     canonical_json_bytes,
     card_digest,
     card_obj,
+    decode_card,
     parse_card,
 )
 
@@ -111,11 +112,11 @@ def build_index(directory: str, store: TemplateStore | None = None) -> IndexBuil
         try:
             with open(file_path, "rb") as fh:
                 data = fh.read()
-            key = _peek_template_ref(data)
+            doc, key = decode_card(data)
             template = merged.get(*key)
             if key not in resolved_cache:
                 resolved_cache[key] = resolve(template, merged)
-            card = parse_card(data, resolved_cache[key])
+            card = parse_card(doc, resolved_cache[key])
             if card.id in seen_ids:
                 problems.append(
                     f"{rel}: card id {card.id!r} already indexed from {seen_ids[card.id]!r}"
@@ -126,13 +127,6 @@ def build_index(directory: str, store: TemplateStore | None = None) -> IndexBuil
         except Exception as exc:  # report and continue; one bad file is not fatal
             problems.append(f"{rel}: {exc}")
     return IndexBuild(index=Index(entries=tuple(entries)), problems=tuple(problems))
-
-
-def _peek_template_ref(data: bytes) -> tuple[str, int]:
-    obj = json.loads(data.decode("utf-8"))
-    if not isinstance(obj, dict) or "template_id" not in obj or "template_version" not in obj:
-        raise ParseError("card document lacks a template reference", path="/")
-    return (obj["template_id"], obj["template_version"])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +214,8 @@ def verify_index(index: Index, directory: str,
         if hashlib.sha256(data).hexdigest() == entry.digest:
             continue
         try:
-            key = _peek_template_ref(data)
-            card = parse_card(data, resolve(merged.get(*key), merged))
+            doc, key = decode_card(data)
+            card = parse_card(doc, resolve(merged.get(*key), merged))
         except Exception as exc:
             stale.append(f"{entry.path}: no longer parses ({exc})")
             continue

@@ -18,6 +18,7 @@ from typing import Any
 
 from .errors import BindError, ParseError
 from .model import (
+    HUMAN,
     Answer,
     AnswerSpec,
     Author,
@@ -65,25 +66,85 @@ MAX_LOSSLESS_INT = 2**53
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
-    """Render an already-ordered object tree as canonical JSON bytes."""
-    text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """Render an already-ordered object tree as canonical JSON bytes.
+
+    The contract: the result equals ``json.dumps(obj, indent=2,
+    ensure_ascii=False, allow_nan=False) + "\\n"`` encoded as UTF-8, for every
+    tree of dicts, lists, tuples, strings, numbers, booleans and ``None``
+    (subclasses included). Keys are written in the tree's own order; nothing
+    is sorted here, so callers build each object in its documented field
+    order. Non-finite floats raise ``ValueError`` and lone surrogates raise
+    ``UnicodeEncodeError``, as with ``json.dumps``.
+    """
+    return (_emit(obj, "\n") + "\n").encode("utf-8")
 
 
-def _canon_scalar(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int) and abs(value) > MAX_LOSSLESS_INT:
-        return str(value)
-    return value
+def _emit(o: Any, nl: str) -> str:
+    """JSON text of ``o``; ``nl`` is a newline plus the current indent.
+
+    Each container joins its own members, which keeps the peak number of
+    live fragments to one container's worth. Plain strings, the commonest
+    member, are encoded in place instead of through a call.
+    """
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            (_encode_str(k) if isinstance(k, str) else _encode_str(_key_text(k))) + ": "
+            + (_encode_str(v) if type(v) is str else _emit(v, inner))
+            for k, v in o.items()
+        ]) + nl + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _emit(v, inner) for v in o
+        ]) + nl + "]"
+    return _scalar_text(o)
+
+
+def _scalar_text(o: Any) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o or o in (_INF, -_INF):
+            raise ValueError("Out of range float values are not JSON compliant: " + repr(o))
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, float) or key is None or key is True or key is False:
+        return _scalar_text(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+_encode_str = json.encoder.encode_basestring
+_INF = float("inf")
 
 
 def _canon_value(value: Any) -> Any:
+    """Answer values with integers beyond ``MAX_LOSSLESS_INT`` as decimal strings."""
     if isinstance(value, (list, tuple)):
         return [_canon_value(v) for v in value]
     if isinstance(value, dict):
         return {k: _canon_value(value[k]) for k in value}
-    return _canon_scalar(value)
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) > MAX_LOSSLESS_INT:
+        return str(value)
+    return value
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -211,11 +272,13 @@ def _provenance_obj(prov: Provenance) -> dict:
 
 def _answer_obj(answer: Answer) -> dict:
     obj: dict[str, Any] = {"status": answer.status.value}
-    if answer.value is not None:
-        obj["value"] = _canon_value(answer.value)
+    value = answer.value
+    if value is not None:
+        obj["value"] = value if type(value) is str else _canon_value(value)
     if answer.rationale is not None:
         obj["rationale"] = answer.rationale
-    obj["provenance"] = _provenance_obj(answer.provenance)
+    prov = answer.provenance
+    obj["provenance"] = {"kind": "human"} if prov is HUMAN else _provenance_obj(prov)
     return obj
 
 
@@ -269,19 +332,17 @@ class _Node:
         return f"{self.path}/{key}"
 
     def require(self, *keys: str) -> None:
-        missing = sorted(k for k in keys if k not in self.obj)
+        missing = [k for k in keys if k not in self.obj]
         if missing:
             raise ParseError(
-                "missing required field(s): " + ", ".join(missing), path=self.path or "/"
+                "missing required field(s): " + ", ".join(sorted(missing)),
+                path=self.path or "/",
             )
 
     def finish(self) -> None:
-        unknown = sorted(set(self.obj) - self.taken)
+        unknown = self.obj.keys() - self.taken
         if unknown:
-            raise ParseError(
-                "unknown field(s): " + ", ".join(repr(k) for k in unknown),
-                path=self.path or "/",
-            )
+            raise _unknown_fields(unknown, self.path)
 
     def take(self, key: str, default: Any = None) -> Any:
         self.taken.add(key)
@@ -549,14 +610,35 @@ def _parse_gate(node: _Node) -> Gate:
 # -- card -------------------------------------------------------------------
 
 
-def parse_card(data: bytes, template: Template) -> Card:
+def decode_card(data: bytes) -> tuple[dict, tuple[str, int]]:
+    """Decode card bytes once: the raw document and the template it names.
+
+    The document passes the size limit, UTF-8, JSON and kind checks; the
+    reference is type-checked so it can key a template lookup. Hand the
+    document to :func:`parse_card` once the template is resolved.
+    """
+    obj = _load_document(data, "card")
+    if "template_id" not in obj or "template_version" not in obj:
+        raise ParseError("card document lacks a template reference", path="/")
+    template_id, template_version = obj["template_id"], obj["template_version"]
+    if not isinstance(template_id, str):
+        raise ParseError(f"expected string, got {_type_name(template_id)}",
+                         path="/template_id")
+    if isinstance(template_version, bool) or not isinstance(template_version, int):
+        raise ParseError(f"expected integer, got {_type_name(template_version)}",
+                         path="/template_version")
+    return obj, (template_id, template_version)
+
+
+def parse_card(data: bytes | dict, template: Template) -> Card:
     """Parse card bytes and bind them against a resolved template.
 
-    Syntax and schema defects raise :class:`ParseError`; answers that do not
-    bind (unknown block ids, value/kind mismatches, status invariants) raise
-    :class:`BindError`.
+    ``data`` is the card's bytes, or the document :func:`decode_card` decoded
+    from them. Syntax and schema defects raise :class:`ParseError`; answers
+    that do not bind (unknown block ids, value/kind mismatches, status
+    invariants) raise :class:`BindError`.
     """
-    root = _Node(_load_document(data, "card"), "")
+    root = _Node(data if isinstance(data, dict) else _load_document(data, "card"), "")
     root.require("format_version", "id", "template_id", "template_version",
                  "dataset_title", "created", "updated", "answers")
     root.take("kind")
@@ -602,7 +684,7 @@ def parse_card(data: bytes, template: Template) -> Card:
                 f"answer references block {block_id!r}, which the resolved template does not have",
                 block_id=block_id,
             )
-        answers[block_id] = _parse_answer(_Node(raw_answers[block_id], path), block)
+        answers[block_id] = _parse_answer(raw_answers[block_id], path, block)
 
     card = Card(
         id=card_id,
@@ -615,20 +697,42 @@ def parse_card(data: bytes, template: Template) -> Card:
         updated=updated,
         answers=answers,
     )
-    _check_not_applicable_justification(card, template)
+    _check_not_applicable_justification(card, blocks)
     return card
 
 
-def _parse_answer(node: _Node, block: Block) -> Answer:
-    node.require("status")
-    status = node.enum("status", AnswerStatus)
-    value = node.take("value")
-    rationale = node.str_("rationale", required=False, nonempty=False)
-    provenance = HUMAN_DEFAULT
-    if node.take("provenance") is not None:
-        provenance = _parse_provenance(_Node(node.obj["provenance"], node.child_path("provenance")))
-    node.finish()
-    answer = Answer(status=status, value=value, rationale=rationale, provenance=provenance)
+_ANSWER_FIELDS = frozenset(("status", "value", "rationale", "provenance"))
+_PROVENANCE_FIELDS = frozenset(("kind", "tool", "tool_version"))
+_STATUSES = {status.value: status for status in AnswerStatus}
+_STATUS_CHOICES = ", ".join(_STATUSES)
+
+
+def _parse_answer(raw: Any, path: str, block: Block) -> Answer:
+    """Bind one raw answer: the checks of a :class:`_Node` cursor, in its order,
+    with the closed field set checked by one set operation."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"expected object, got {_type_name(raw)}", path=path)
+    if "status" not in raw:
+        raise ParseError("missing required field(s): status", path=path)
+    raw_status = raw["status"]
+    # only strings can name a status; the guard also keeps unhashable values
+    # away from the table lookup
+    status = _STATUSES.get(raw_status) if isinstance(raw_status, str) else None
+    if status is None:
+        raise ParseError(f"{raw_status!r} is not one of: {_STATUS_CHOICES}",
+                         path=f"{path}/status")
+    rationale = raw.get("rationale")
+    if rationale is not None and not isinstance(rationale, str):
+        raise ParseError(f"expected string, got {_type_name(rationale)}",
+                         path=f"{path}/rationale")
+    provenance = HUMAN
+    raw_provenance = raw.get("provenance")
+    if raw_provenance is not None:
+        provenance = _parse_provenance(raw_provenance, f"{path}/provenance")
+    if not raw.keys() <= _ANSWER_FIELDS:
+        raise _unknown_fields(raw.keys() - _ANSWER_FIELDS, path)
+    answer = Answer(status=status, value=raw.get("value"), rationale=rationale,
+                    provenance=provenance)
     check_answer(block, answer)
     if block.answer_spec.kind is AnswerKind.NUMBER and isinstance(answer.value, str):
         answer = Answer(status=status, value=normalize_number(answer.value),
@@ -636,27 +740,45 @@ def _parse_answer(node: _Node, block: Block) -> Answer:
     return answer
 
 
-HUMAN_DEFAULT = Provenance()
-
-
-def _parse_provenance(node: _Node) -> Provenance:
-    node.require("kind")
-    kind = node.str_("kind")
-    tool = node.str_("tool", required=False)
-    tool_version = node.str_("tool_version", required=False)
-    node.finish()
+def _parse_provenance(raw: Any, path: str) -> Provenance:
+    if not isinstance(raw, dict):
+        raise ParseError(f"expected object, got {_type_name(raw)}", path=path)
+    if "kind" not in raw:
+        raise ParseError("missing required field(s): kind", path=path)
+    kind = _text(raw["kind"], f"{path}/kind")
+    tool, tool_version = raw.get("tool"), raw.get("tool_version")
+    if tool is not None:
+        _text(tool, f"{path}/tool")
+    if tool_version is not None:
+        _text(tool_version, f"{path}/tool_version")
+    if not raw.keys() <= _PROVENANCE_FIELDS:
+        raise _unknown_fields(raw.keys() - _PROVENANCE_FIELDS, path)
     if kind == "human":
         if tool is not None or tool_version is not None:
-            raise ParseError("human provenance carries no tool fields", path=node.path)
-        return Provenance(kind="human")
+            raise ParseError("human provenance carries no tool fields", path=path)
+        return HUMAN
     if kind == "automated":
         if not tool or not tool_version:
             raise ParseError(
-                "automated provenance requires tool and tool_version", path=node.path
+                "automated provenance requires tool and tool_version", path=path
             )
         return Provenance(kind="automated", tool=tool, tool_version=tool_version)
     raise ParseError(f"provenance kind must be 'human' or 'automated', got {kind!r}",
-                     path=node.child_path("kind"))
+                     path=f"{path}/kind")
+
+
+def _text(value: Any, path: str) -> str:
+    """A string field that is present and must not be empty."""
+    if not isinstance(value, str):
+        raise ParseError(f"expected string, got {_type_name(value)}", path=path)
+    if not value:
+        raise ParseError("must not be empty", path=path)
+    return value
+
+
+def _unknown_fields(unknown, path: str) -> ParseError:
+    return ParseError("unknown field(s): " + ", ".join(repr(k) for k in sorted(unknown)),
+                     path=path or "/")
 
 
 def check_answer(block: Block, answer: Answer) -> None:
@@ -684,8 +806,7 @@ def check_answer(block: Block, answer: Answer) -> None:
         raise BindError("automated provenance requires tool and tool_version", block_id=block.id)
 
 
-def _check_not_applicable_justification(card: Card, template: Template) -> None:
-    blocks = template.block_map()
+def _check_not_applicable_justification(card: Card, blocks: dict[str, Block]) -> None:
     for block_id, answer in card.answers.items():
         if answer.status is not AnswerStatus.NOT_APPLICABLE:
             continue

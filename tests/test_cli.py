@@ -178,6 +178,26 @@ class TestLint:
     def test_missing_file_exits_two(self, capsys):
         assert _run(capsys, "lint", "/no/such/file.dcc.json")[0] == 2
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("template_id", ["data-card-canonical"], "expected string, got array at /template_id"),
+        ("template_id", 7, "expected string, got number at /template_id"),
+        ("template_version", "1", "expected integer, got string at /template_version"),
+        ("template_version", True, "expected integer, got boolean at /template_version"),
+    ])
+    def test_mistyped_template_reference_is_a_parse_error(self, capsys, tmp_path,
+                                                          field, value, message):
+        with open(TRANSLATION_CARD, "rb") as fh:
+            obj = json.loads(fh.read())
+        obj[field] = value
+        card = tmp_path / "bad.dcc.json"
+        card.write_text(json.dumps(obj))
+        code, _, err = _run(capsys, "lint", str(card))
+        assert code == 2
+        assert err == f"error: {card} is not a card document ({message})\n"
+        code, _, err = _run(capsys, "index", str(tmp_path))
+        assert code == 0
+        assert err == f"skipped bad.dcc.json: {message}\n"
+
 
 class TestDeriveResolve:
     def test_derive_then_resolve_drops_block(self, capsys, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacardkit.errors import BindError, ParseError
-from datacardkit.model import Answer, Card
+from datacardkit.model import Answer, Card, Provenance
 from datacardkit.serialization import (
     MAX_DOCUMENT_BYTES,
     MAX_LOSSLESS_INT,
@@ -84,6 +84,77 @@ class TestCanonicalForm:
     def test_digest_is_stable_hex(self, cv_card):
         d1, d2 = card_digest(cv_card), card_digest(cv_card)
         assert d1 == d2 and len(d1) == 64 and set(d1) <= set("0123456789abcdef")
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not an int"
+
+
+class _Str(str):
+    pass
+
+
+# any code point, lone surrogates included
+_texts = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers().map(_Int),
+    st.floats(allow_nan=True, allow_infinity=True), _texts, _texts.map(_Str),
+)
+_keys = st.one_of(_texts, _texts.map(_Str), st.integers(), st.integers().map(_Int),
+                  st.floats(), st.booleans(), st.none())
+_trees = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _outcome(render, obj):
+    try:
+        return render(obj)
+    except (ValueError, UnicodeEncodeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestEmitter:
+    """The emitter matches ``json.dumps(indent=2)``, errors included."""
+
+    @staticmethod
+    def _reference(obj):
+        return (json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+                + "\n").encode("utf-8")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(obj=_trees)
+    def test_same_bytes_as_json_dumps(self, obj):
+        assert _outcome(canonical_json_bytes, obj) == _outcome(self._reference, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], {"x": [{}]}],
+        {1: "int key", 2.5: "float key", True: 1, None: 2, _Int(7): 3},
+        [_Int(5), _Str("s"), -0.0, 1e300, 2**64, "\u2028\x00\"\\"],
+    ])
+    def test_shapes(self, obj):
+        assert canonical_json_bytes(obj) == self._reference(obj)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_raises_like_json_dumps(self, value):
+        for obj in (value, [value], {"k": value}, {value: 1}):
+            with pytest.raises(ValueError) as ours:
+                canonical_json_bytes(obj)
+            with pytest.raises(ValueError) as theirs:
+                self._reference(obj)
+            assert str(ours.value) == str(theirs.value)
+
+    def test_lone_surrogate_fails_at_utf8_encode(self):
+        for obj in ("\ud800", {"\udfff": 1}, ["ok", {"k": "\ud800"}]):
+            with pytest.raises(UnicodeEncodeError):
+                canonical_json_bytes(obj)
 
 
 class TestBigIntegers:
@@ -243,3 +314,106 @@ class TestDiagnosticsDocument:
         data = serialize_diagnostics(diags)
         assert parse_diagnostics(data) == diags
         assert json.loads(data)["kind"] == "diagnostics"
+
+
+_STATUSES = "answered, unknown, withheld, not-applicable, pending"
+_AT = "/answers/publishers"
+
+
+class TestAnswerRejections:
+    """Every rejection of the answer binder, with its class, path and message.
+
+    Rows that hold several defects pin which one is reported first.
+    """
+
+    def _parse(self, translation_card, canonical, raw_answer):
+        obj = card_obj(translation_card)
+        obj["answers"]["publishers"] = raw_answer
+        return parse_card(canonical_json_bytes(obj), canonical)
+
+    @pytest.mark.parametrize("raw,error,message", [
+        ("x", ParseError, f"expected object, got string at {_AT}"),
+        ([], ParseError, f"expected object, got array at {_AT}"),
+        (None, ParseError, f"expected object, got null at {_AT}"),
+        ({}, ParseError, f"missing required field(s): status at {_AT}"),
+        ({"rationale": 5, "zeta": 1}, ParseError,
+         f"missing required field(s): status at {_AT}"),
+        ({"status": "done"}, ParseError,
+         f"'done' is not one of: {_STATUSES} at {_AT}/status"),
+        ({"status": ["answered"]}, ParseError,
+         f"['answered'] is not one of: {_STATUSES} at {_AT}/status"),
+        ({"status": {"a": 1}}, ParseError,
+         f"{{'a': 1}} is not one of: {_STATUSES} at {_AT}/status"),
+        ({"status": None}, ParseError, f"None is not one of: {_STATUSES} at {_AT}/status"),
+        ({"status": "bogus", "rationale": 5}, ParseError,
+         f"'bogus' is not one of: {_STATUSES} at {_AT}/status"),
+        ({"status": "unknown", "rationale": 5}, ParseError,
+         f"expected string, got number at {_AT}/rationale"),
+        ({"status": "unknown", "rationale": ["why"]}, ParseError,
+         f"expected string, got array at {_AT}/rationale"),
+        ({"status": "pending", "rationale": 5, "provenance": 3, "zeta": 1}, ParseError,
+         f"expected string, got number at {_AT}/rationale"),
+        ({"status": "pending", "provenance": "human"}, ParseError,
+         f"expected object, got string at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {}}, ParseError,
+         f"missing required field(s): kind at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {"kind": 1}}, ParseError,
+         f"expected string, got number at {_AT}/provenance/kind"),
+        ({"status": "pending", "provenance": {"kind": ""}}, ParseError,
+         f"must not be empty at {_AT}/provenance/kind"),
+        ({"status": "pending", "provenance": {"kind": "automated", "tool": 1,
+                                              "tool_version": "1"}}, ParseError,
+         f"expected string, got number at {_AT}/provenance/tool"),
+        ({"status": "pending", "provenance": {"kind": "automated", "tool": "",
+                                              "tool_version": "1"}}, ParseError,
+         f"must not be empty at {_AT}/provenance/tool"),
+        ({"status": "pending", "provenance": {"kind": "automated", "tool": "t",
+                                              "tool_version": False}}, ParseError,
+         f"expected string, got boolean at {_AT}/provenance/tool_version"),
+        ({"status": "pending", "provenance": {"kind": "human", "zeta": 1, "alpha": 2}},
+         ParseError, f"unknown field(s): 'alpha', 'zeta' at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {"kind": "human", "zeta": 1, "tool": 5}},
+         ParseError, f"expected string, got number at {_AT}/provenance/tool"),
+        ({"status": "pending", "provenance": {"kind": "robot", "zeta": 1}},
+         ParseError, f"unknown field(s): 'zeta' at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {"kind": "human", "tool": "t"}}, ParseError,
+         f"human provenance carries no tool fields at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {"kind": "automated", "tool": "t"}},
+         ParseError, f"automated provenance requires tool and tool_version at {_AT}/provenance"),
+        ({"status": "pending", "provenance": {"kind": "robot"}}, ParseError,
+         f"provenance kind must be 'human' or 'automated', got 'robot' at {_AT}/provenance/kind"),
+        ({"status": "pending", "zeta": 1, "alpha": 2}, ParseError,
+         f"unknown field(s): 'alpha', 'zeta' at {_AT}"),
+        ({"status": "pending", "provenance": {"kind": 1}, "zeta": 1}, ParseError,
+         f"expected string, got number at {_AT}/provenance/kind"),
+        ({"status": "pending", "value": "x", "zeta": 1}, ParseError,
+         f"unknown field(s): 'zeta' at {_AT}"),
+        ({"status": "pending", "value": "x"}, BindError,
+         "pending status must not carry a value (block 'publishers')"),
+        ({"status": "withheld", "value": "x"}, BindError,
+         "withheld status must not carry a value (block 'publishers')"),
+        ({"status": "answered", "value": 5}, BindError,
+         "short-text value must be a string (block 'publishers')"),
+    ])
+    def test_rejection(self, translation_card, canonical, raw, error, message):
+        with pytest.raises(error) as exc:
+            self._parse(translation_card, canonical, raw)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw,provenance", [
+        ({"status": "answered", "value": "Acme", "rationale": None}, Provenance()),
+        ({"status": "answered", "value": "Acme", "rationale": ""}, Provenance()),
+        ({"status": "answered", "value": "Acme", "provenance": None}, Provenance()),
+        ({"status": "answered", "value": "Acme", "provenance": {"kind": "human"}},
+         Provenance()),
+        ({"status": "answered", "value": "Acme",
+          "provenance": {"kind": "human", "tool": None, "tool_version": None}}, Provenance()),
+        ({"status": "answered", "value": "Acme",
+          "provenance": {"kind": "automated", "tool": "t", "tool_version": "1"}},
+         Provenance(kind="automated", tool="t", tool_version="1")),
+    ])
+    def test_accepted(self, translation_card, canonical, raw, provenance):
+        answer = self._parse(translation_card, canonical, raw).answers["publishers"]
+        assert answer == Answer(status=AnswerStatus.ANSWERED, value="Acme",
+                                rationale=raw.get("rationale"), provenance=provenance)
