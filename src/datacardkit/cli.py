@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Exit codes: 0 on success (warnings allowed), 1 when error-level diagnostics
-or conflicts are present, 2 for usage, parse, or I/O failures. Diagnostics
-and reports go to stderr in text mode; data documents go to stdout or the
-path given with -o.
+Exit codes: 0 on success (warnings allowed); 1 when error-level diagnostics
+or conflicts are present, and for a toolkit error whose ``exit_code`` is 1 (a
+derivation that resolves to an invalid template, reviews that cannot be
+aggregated); 2 for usage, decode, parse, bind, lineage or I/O failures.
+Diagnostics and reports go to stderr in text mode; data documents go to
+stdout or the path given with -o.
 """
 
 from __future__ import annotations
@@ -14,23 +16,9 @@ import sys
 from datetime import datetime, timezone
 
 from . import assets
-from .derivation import TemplateStore, derive, reconcile, resolve
+from .derivation import TemplateStore, derive, load_card, reconcile, resolve
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
-from .errors import (
-    BindError,
-    ChainTooDeep,
-    DataCardError,
-    DerivationInvalid,
-    IdCollision,
-    InvalidOverride,
-    InvalidReview,
-    LineageMismatch,
-    MissingParent,
-    MixedCardDigest,
-    ParseError,
-    UnknownBlock,
-    UnknownFilterKey,
-)
+from .errors import DataCardError, DecodeError, DerivationInvalid
 from .lint import DEFAULT_CONFIG, CardUnderLint, lint_card, lint_comparability, lint_template
 from .model import (
     Author,
@@ -52,6 +40,7 @@ from .often import (
     scaffold_template,
 )
 from .registry import (
+    FILTER_KEYS,
     build_index,
     changeset_obj,
     diff,
@@ -79,8 +68,6 @@ from .serialization import (
     TEMPLATE_EXTENSION,
     canonical_json_bytes,
     card_digest,
-    decode_card,
-    parse_card,
     parse_template,
     parse_timestamp,
     serialize,
@@ -148,12 +135,9 @@ def _template_from_ref(ref: str, store: TemplateStore) -> Template:
 def _load_card(path: str, store: TemplateStore) -> tuple[Card, Template, Template]:
     """Returns (card, template as authored, resolved template)."""
     try:
-        doc, (template_id, template_version) = decode_card(_read(path))
-    except ParseError as exc:
-        raise ParseError(f"{path} is not a card document ({exc})") from None
-    template = store.get(template_id, template_version)
-    resolved = resolve(template, store)
-    return parse_card(doc, resolved), template, resolved
+        return load_card(_read(path), store)
+    except DecodeError as exc:
+        raise DecodeError(f"{path} is not a card document ({exc})") from None
 
 
 def _print_diagnostics(diagnostics, prefix: str = "") -> None:
@@ -412,7 +396,7 @@ def _cmd_index(args) -> int:
 def _cmd_search(args) -> int:
     store = _store(args)
     filters = {}
-    for key in ("tag", "theme", "lineage", "title"):
+    for key in FILTER_KEYS:
         value = getattr(args, key)
         if value is not None:
             filters[key] = value
@@ -602,18 +586,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         for diag in exc.diagnostics:
             print(f"  {diag.format()}", file=sys.stderr)
-        return 1
-    except (MixedCardDigest, InvalidReview) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, BindError, MissingParent, UnknownBlock, InvalidOverride,
-            ChainTooDeep, LineageMismatch, IdCollision, UnknownFilterKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except DataCardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .model import (
     Block,
+    Card,
     CustomTheme,
     Lineage,
     Override,
@@ -37,7 +38,13 @@ from .model import (
     Template,
     validate_structural,
 )
-from .serialization import TEMPLATE_EXTENSION, _block_obj, parse_template
+from .serialization import (
+    TEMPLATE_EXTENSION,
+    _block_obj,
+    decode_card,
+    parse_card,
+    parse_template,
+)
 from .taxonomy import CHOICE_KINDS
 
 MAX_CHAIN_DEPTH = 8
@@ -48,6 +55,7 @@ class TemplateStore:
 
     def __init__(self, templates: Iterable[Template] = ()):
         self._by_key: dict[tuple[str, int], Template] = {}
+        self._resolved: dict[tuple[str, int], Template] = {}
         for template in templates:
             self.add(template)
 
@@ -63,6 +71,20 @@ class TemplateStore:
             return self._by_key[(template_id, version)]
         except KeyError:
             raise MissingParent(f"template {template_id!r} v{version} is not in the store") from None
+
+    def resolved(self, template: Template) -> Template:
+        """``resolve(template, self)``, computed once per stored (id, version).
+
+        :meth:`add` refuses to change a key's definition, so the memo needs no
+        invalidation; a failed resolve is not cached. A template that is not
+        the stored definition of its key is resolved afresh.
+        """
+        key = (template.id, template.version)
+        if self._by_key.get(key) != template:
+            return resolve(template, self)
+        if key not in self._resolved:
+            self._resolved[key] = resolve(template, self)
+        return self._resolved[key]
 
     def latest(self, template_id: str) -> Template:
         versions = [v for (tid, v) in self._by_key if tid == template_id]
@@ -96,8 +118,12 @@ class TemplateStore:
 # ---------------------------------------------------------------------------
 
 
-def _ancestry(template: Template, store: TemplateStore) -> list[Template]:
-    """Chain from root ancestor down to ``template``; bounded depth."""
+def ancestry(template: Template, store: TemplateStore) -> list[Template]:
+    """Chain from root ancestor down to ``template``; bounded depth.
+
+    ``chain[0].id`` is the lineage root that decides comparability. Raises
+    :class:`ChainTooDeep` on a cycle or a chain over :data:`MAX_CHAIN_DEPTH`.
+    """
     chain = [template]
     seen = {(template.id, template.version)}
     current = template
@@ -132,7 +158,7 @@ def resolve(template: Template, store: TemplateStore | None = None) -> Template:
         raise MissingParent(
             f"template {template.id!r} has lineage but no store was provided"
         )
-    chain = _ancestry(template, store)
+    chain = ancestry(template, store)
     resolved = chain[0]
     for child in chain[1:]:
         resolved = _apply_delta(resolved, child)
@@ -234,6 +260,19 @@ def _apply_override(block: Block, override: Override) -> Block:
     return updated
 
 
+def load_card(data: bytes, store: TemplateStore) -> tuple[Card, Template, Template]:
+    """Decode card bytes, resolve their template through ``store`` and bind.
+
+    Returns (card, template as authored, resolved template). A document that
+    does not decode raises :class:`DecodeError`; the rest raise as
+    :meth:`TemplateStore.get`, :func:`resolve` and :func:`parse_card` do.
+    """
+    doc, key = decode_card(data)
+    template = store.get(*key)
+    resolved = store.resolved(template)
+    return parse_card(doc, resolved), template, resolved
+
+
 # ---------------------------------------------------------------------------
 # Derivation
 # ---------------------------------------------------------------------------
@@ -284,13 +323,6 @@ CONFLICT_PARENT_EDITED_OVERRIDDEN = "parent-edited-overridden-block"
 CONFLICT_PARENT_REMOVED_OVERRIDDEN = "parent-removed-overridden-block"
 CONFLICT_PARENT_DELETED_SUPPRESSED = "parent-deleted-suppressed-block"
 CONFLICT_ID_COLLISION = "id-collision"
-
-CONFLICT_KINDS = (
-    CONFLICT_PARENT_EDITED_OVERRIDDEN,
-    CONFLICT_PARENT_REMOVED_OVERRIDDEN,
-    CONFLICT_PARENT_DELETED_SUPPRESSED,
-    CONFLICT_ID_COLLISION,
-)
 
 
 @dataclass(frozen=True)

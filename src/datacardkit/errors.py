@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class DataCardError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``exit_code`` is what the command line returns when the error ends a
+    command: 2 for input the toolkit refuses, 1 for input it read but found
+    invalid.
+    """
+
+    exit_code = 2
 
 
 class ParseError(DataCardError):
@@ -25,6 +32,11 @@ class ParseError(DataCardError):
         elif line is not None:
             where = f" at line {line}, column {column}"
         super().__init__(f"{message}{where}")
+
+
+class DecodeError(ParseError):
+    """Bytes that do not decode to a document of the expected kind: over the
+    size limit, not UTF-8, not JSON, or the wrong root or ``kind``."""
 
 
 class BindError(DataCardError):
@@ -63,6 +75,8 @@ class LineageMismatch(DataCardError):
 class DerivationInvalid(DataCardError):
     """The resolved form of a derived template fails structural validation."""
 
+    exit_code = 1
+
     def __init__(self, message: str, diagnostics=()):
         self.diagnostics = list(diagnostics)
         super().__init__(message)
@@ -71,9 +85,13 @@ class DerivationInvalid(DataCardError):
 class MixedCardDigest(DataCardError):
     """Reviews passed to aggregation do not all reference the same card digest."""
 
+    exit_code = 1
+
 
 class InvalidReview(DataCardError):
     """A review record fails rubric validation and cannot be aggregated."""
+
+    exit_code = 1
 
 
 class UnknownFilterKey(DataCardError):

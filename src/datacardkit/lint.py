@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .derivation import TemplateStore, resolve
+from .derivation import TemplateStore, ancestry
 from .diagnostics import Diagnostic, DiagnosticCollector, Severity, sort_diagnostics
 from .model import Card, Template, gate_satisfied, validate_structural
 from .taxonomy import (
@@ -201,22 +201,6 @@ class CardUnderLint:
     template: Template
 
 
-def _lineage_root(template: Template, store: TemplateStore) -> str:
-    current = template
-    while current.lineage is not None:
-        current = store.get(current.lineage.parent_id, current.lineage.parent_version)
-    return current.id
-
-
-def _chain_suppressions(template: Template, store: TemplateStore) -> set[str]:
-    suppressed: set[str] = set()
-    current = template
-    while current.lineage is not None:
-        suppressed.update(s.block_id for s in current.lineage.suppressions)
-        current = store.get(current.lineage.parent_id, current.lineage.parent_version)
-    return suppressed
-
-
 def lint_comparability(entries: list[CardUnderLint],
                        store: TemplateStore | None = None) -> list[Diagnostic]:
     """CMP-001: cards sharing a lineage root whose resolved block-id sets
@@ -230,12 +214,13 @@ def lint_comparability(entries: list[CardUnderLint],
     out = DiagnosticCollector()
     prepared = []
     for entry in entries:
-        resolved = resolve(entry.template, store)
+        resolved = store.resolved(entry.template)
+        chain = ancestry(entry.template, store)
         prepared.append((
             entry.card,
-            _lineage_root(entry.template, store),
+            chain[0].id,
             {b.id for b in resolved.blocks()},
-            _chain_suppressions(entry.template, store),
+            {s.block_id for t in chain[1:] for s in t.lineage.suppressions},
         ))
     for (card_a, root_a, ids_a, sup_a), (card_b, root_b, ids_b, sup_b) in combinations(prepared, 2):
         if root_a != root_b:

@@ -9,11 +9,12 @@ instead of raising.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Any, Iterator, Union
+from typing import Any, Iterator
 
-from .diagnostics import Diagnostic, DiagnosticCollector, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, DiagnosticCollector, Severity
+from .errors import BindError
 from .taxonomy import (
     CANONICAL_THEME_PREFIX,
     CANONICAL_THEMES,
@@ -24,10 +25,10 @@ from .taxonomy import (
     Interrogative,
     OftenStage,
     ScopeLevel,
+    theme_stage_map,
 )
 
 SLUG_RE = re.compile(r"^[a-z0-9-]{1,64}$")
-THEME_SLUG_RE = re.compile(r"^[a-z0-9.-]{1,64}$")
 
 MAX_BLOCKS_PER_ROW = 4
 
@@ -214,7 +215,7 @@ class Template:
 
     def theme_stages(self) -> dict[str, OftenStage]:
         """Stage for every theme this template can resolve (canonical + declared)."""
-        out = {slug: stage for slug, (_, stage) in CANONICAL_THEMES.items()}
+        out = theme_stage_map()
         for custom in self.custom_themes:
             out[custom.slug] = custom.stage
         return out
@@ -320,6 +321,19 @@ def materialize_gates(card: Card, template: Template) -> Card:
         audience_tags=card.audience_tags,
         answers=answers,
     )
+
+
+def ensure_bound(card: Card, template: Template) -> None:
+    """Raise :class:`BindError` unless ``card`` was made for ``template``."""
+    if card.template_id != template.id or card.template_version != template.version:
+        raise BindError(
+            f"card references template {card.template_id!r} v{card.template_version}, "
+            f"not {template.id!r} v{template.version}"
+        )
+    known = template.block_map()
+    for block_id in card.answers:
+        if block_id not in known:
+            raise BindError(f"card answers unknown block {block_id!r}", block_id=block_id)
 
 
 def gate_satisfied(gate: Gate, card: Card) -> bool:
@@ -492,5 +506,3 @@ def _check_gates(template: Template, out: DiagnosticCollector) -> None:
             out.add("STRUCT-003", Severity.ERROR, path,
                     f"gate value {gate.value!r} is not a declared choice of {source.id!r}")
 
-
-Document = Union[Template, Card]

@@ -9,19 +9,19 @@ answered blocks cover the lifecycle as a 5x6 count matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import BindError, ParseError
-from .model import Block, Card, CustomTheme, Row, Section, Template
+from .model import AnswerSpec, Block, Card, CustomTheme, Row, Section, Template, ensure_bound
+from .serialization import _load_document
 from .taxonomy import (
     AnswerKind,
     AnswerStatus,
     Interrogative,
     OftenStage,
     ScopeLevel,
+    theme_stage_map,  # re-exported: part of the package's public API
 )
-from .model import AnswerSpec
 
 STAGES: tuple[OftenStage, ...] = tuple(OftenStage)
 INTERROGATIVES: tuple[Interrogative, ...] = tuple(Interrogative)
@@ -100,11 +100,9 @@ MASK_PRESETS: dict[str, ApplicabilityMask] = {
 def parse_mask(data: bytes) -> ApplicabilityMask:
     """Mask file format: one key per stage, listing applicable interrogatives."""
     try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = _load_document(data, "mask")
+    except ParseError as exc:
         raise ParseError(f"invalid mask file: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("mask file must be an object keyed by stage", path="/")
     known = {stage.value for stage in STAGES}
     unknown = sorted(set(obj) - known)
     if unknown:
@@ -404,12 +402,6 @@ def matrix_obj(matrix: OftenMatrix) -> dict:
     }
 
 
-def theme_stage_map() -> dict[str, OftenStage]:
-    """Total map over the 31 canonical themes."""
-    from .taxonomy import CANONICAL_THEMES
-    return {slug: stage for slug, (_desc, stage) in CANONICAL_THEMES.items()}
-
-
 def _tally(blocks, stages: dict[str, OftenStage]) -> OftenMatrix:
     counts = [[0] * len(INTERROGATIVES) for _ in STAGES]
     unclassified = [0] * len(STAGES)
@@ -437,15 +429,7 @@ def template_matrix(template: Template) -> OftenMatrix:
 
 def coverage(card: Card, template: Template) -> OftenMatrix:
     """Coverage of a card: only blocks whose answer status is answered count."""
-    if card.template_id != template.id or card.template_version != template.version:
-        raise BindError(
-            f"card references template {card.template_id!r} v{card.template_version}, "
-            f"not {template.id!r} v{template.version}"
-        )
-    known = template.block_map()
-    for block_id in card.answers:
-        if block_id not in known:
-            raise BindError(f"card answers unknown block {block_id!r}", block_id=block_id)
+    ensure_bound(card, template)
     answered = [
         block for block in template.blocks()
         if card.answer_for(block.id).status is AnswerStatus.ANSWERED

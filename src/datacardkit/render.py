@@ -14,8 +14,7 @@ import html as html_mod
 from typing import Iterable
 
 from .diagnostics import Diagnostic
-from .errors import BindError
-from .model import Answer, Block, Card, Template
+from .model import Answer, Block, Card, Template, ensure_bound
 from .taxonomy import AnswerKind, AnswerStatus, ScopeLevel
 
 FORMATS = ("markdown", "html")
@@ -35,15 +34,7 @@ def render(card: Card, template: Template, format: str = "markdown",
     as badges next to the blocks they concern; they never block rendering."""
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-    if card.template_id != template.id or card.template_version != template.version:
-        raise BindError(
-            f"card references template {card.template_id!r} v{card.template_version}, "
-            f"not {template.id!r} v{template.version}"
-        )
-    known = template.block_map()
-    for block_id in card.answers:
-        if block_id not in known:
-            raise BindError(f"card answers unknown block {block_id!r}", block_id=block_id)
+    ensure_bound(card, template)
     notes = _annotations_by_path(template, annotations)
     if format == "markdown":
         text = _render_markdown(card, template, notes)

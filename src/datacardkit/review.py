@@ -79,9 +79,6 @@ class ReviewRecord:
     created: datetime
     entries: dict[str, ReviewEntry]
 
-    def entry_for(self, dimension: Dimension) -> ReviewEntry | None:
-        return self.entries.get(dimension.value)
-
 
 # ---------------------------------------------------------------------------
 # Serialization

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from datetime import datetime, timezone
 from typing import Any
 
-from .errors import BindError, ParseError
+from .errors import BindError, DecodeError, ParseError
 from .model import (
     HUMAN,
     Answer,
@@ -38,7 +39,6 @@ from .model import (
     is_slug,
 )
 from .taxonomy import (
-    CHOICE_KINDS,
     AnswerKind,
     AnswerStatus,
     AutomationPolicy,
@@ -416,23 +416,32 @@ def _type_name(value: Any) -> str:
 
 
 def _load_document(data: bytes, expected_kind: str) -> dict:
+    """The one JSON decoder: every failure to decode is a :class:`DecodeError`."""
     if len(data) > MAX_DOCUMENT_BYTES:
-        raise ParseError(
+        raise DecodeError(
             f"document is {len(data)} bytes; the limit is {MAX_DOCUMENT_BYTES} (50 MiB)"
         )
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"document is not valid UTF-8: {exc}") from None
+        raise DecodeError(f"document is not valid UTF-8: {exc}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+        raise DecodeError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise DecodeError("document is nested too deeply") from None
+    except ValueError:
+        # the only other ValueError the decoder raises: Python's limit on the
+        # digits of an integer literal
+        raise DecodeError(
+            f"invalid JSON: integer literal over {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(obj, dict):
-        raise ParseError(f"document root must be an object, got {_type_name(obj)}", path="/")
+        raise DecodeError(f"document root must be an object, got {_type_name(obj)}", path="/")
     kind = obj.get("kind")
     if kind is not None and kind != expected_kind:
-        raise ParseError(f"expected kind {expected_kind!r}, got {kind!r}", path="/kind")
+        raise DecodeError(f"expected kind {expected_kind!r}, got {kind!r}", path="/kind")
     return obj
 
 
@@ -619,14 +628,14 @@ def decode_card(data: bytes) -> tuple[dict, tuple[str, int]]:
     """
     obj = _load_document(data, "card")
     if "template_id" not in obj or "template_version" not in obj:
-        raise ParseError("card document lacks a template reference", path="/")
+        raise DecodeError("card document lacks a template reference", path="/")
     template_id, template_version = obj["template_id"], obj["template_version"]
     if not isinstance(template_id, str):
-        raise ParseError(f"expected string, got {_type_name(template_id)}",
-                         path="/template_id")
+        raise DecodeError(f"expected string, got {_type_name(template_id)}",
+                          path="/template_id")
     if isinstance(template_version, bool) or not isinstance(template_version, int):
-        raise ParseError(f"expected integer, got {_type_name(template_version)}",
-                         path="/template_version")
+        raise DecodeError(f"expected integer, got {_type_name(template_version)}",
+                          path="/template_version")
     return obj, (template_id, template_version)
 
 

@@ -133,5 +133,6 @@ _CANONICAL_SET = frozenset(CANONICAL_THEMES)
 assert len(_CANONICAL_SET) == 31
 
 
-def theme_description(slug: str) -> str:
-    return CANONICAL_THEMES[slug][0]
+def theme_stage_map() -> dict[str, OftenStage]:
+    """Total map over the 31 canonical themes."""
+    return {slug: stage for slug, (_desc, stage) in CANONICAL_THEMES.items()}

@@ -1,11 +1,14 @@
 """End-to-end command exercises: exit codes, output shapes, file round trips."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import datacardkit
 from datacardkit.cli import main
 from datacardkit.derivation import TemplateStore, derive
 from datacardkit.model import AnswerSpec, Block, Override, Row, Section, Template
@@ -54,6 +57,55 @@ class TestUsage:
         proc = subprocess.run([exe, "themes"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 31
+
+
+def _run_subprocess(*argv):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(datacardkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "datacardkit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestUndecodableInputs:
+    """Inputs the JSON decoder refuses end in exit 2 and one error line."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    def _assert_refused(self, proc, message):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_deeply_nested_card(self, tmp_path):
+        card = tmp_path / "deep.dcc.json"
+        card.write_text(self.DEEP)
+        self._assert_refused(_run_subprocess("lint", str(card)),
+                             f"{card} is not a card document (document is nested too deeply)")
+
+    def test_over_long_integer_literal(self, tmp_path):
+        with open(TRANSLATION_CARD) as fh:
+            text = fh.read()
+        assert '"format_version": 1,' in text
+        card = tmp_path / "long.dcc.json"
+        card.write_text(text.replace('"format_version": 1,',
+                                     '"format_version": ' + "1" * 5000 + ",", 1))
+        self._assert_refused(
+            _run_subprocess("lint", str(card)),
+            f"{card} is not a card document "
+            f"(invalid JSON: integer literal over {sys.get_int_max_str_digits()} digits)")
+
+    def test_deeply_nested_mask(self, tmp_path):
+        mask = tmp_path / "deep-mask.json"
+        mask.write_text('{"origins": ' + self.DEEP + "}")
+        self._assert_refused(_run_subprocess("often", "scaffold", "x", "--mask", str(mask)),
+                             "invalid mask file: document is nested too deeply")
+
+    def test_deeply_nested_template(self, tmp_path):
+        template = tmp_path / "deep.dct.json"
+        template.write_text('{"sections": ' + self.DEEP + "}")
+        self._assert_refused(_run_subprocess("resolve", str(template)),
+                             "document is nested too deeply")
 
 
 class TestNew:

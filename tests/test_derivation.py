@@ -1,5 +1,6 @@
 """Fork-safe derivation: resolve flattening, the reconcile grid, recovery."""
 
+import signal
 from dataclasses import replace
 
 import pytest
@@ -36,6 +37,8 @@ from datacardkit.model import (
     Suppression,
     Template,
 )
+from datacardkit.lint import CardUnderLint, lint_comparability
+from datacardkit.registry import diff
 from datacardkit.taxonomy import AnswerKind, ScopeLevel
 
 
@@ -205,6 +208,29 @@ class TestChains:
         with pytest.raises(ChainTooDeep):
             resolve(a, store)
 
+    def test_cycle_is_refused_by_every_lineage_reader(self, corpus_store, cv_card):
+        # two forks of the shipped one, each naming the other as its parent
+        fork = corpus_store.get("cv-fairness-extended", 1)
+        a = replace(fork, lineage=replace(fork.lineage, parent_id="fork-b", parent_version=1))
+        b = replace(fork, id="fork-b",
+                    lineage=replace(fork.lineage, parent_id=a.id, parent_version=a.version))
+        store = TemplateStore([a, b])
+        card_b = replace(cv_card, template_id=b.id)
+
+        def hang(signum, frame):
+            raise AssertionError("the lineage walk did not terminate")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(3)
+        try:
+            with pytest.raises(ChainTooDeep):
+                diff(cv_card, card_b, a, b, store)
+            with pytest.raises(ChainTooDeep):
+                lint_comparability([CardUnderLint(cv_card, a), CardUnderLint(card_b, b)], store)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_two_level_chain_flattens(self):
         store = TemplateStore()
         p = _parent()
@@ -233,6 +259,21 @@ class TestStore:
     def test_missing_parent(self):
         with pytest.raises(MissingParent):
             TemplateStore().get("parent", 1)
+
+    def test_resolved_is_memoized_per_key(self):
+        store = TemplateStore([_parent()])
+        child = derive(_parent(), "child", "Child", store=store)
+        store.add(child)
+        assert store.resolved(child) is store.resolved(child)
+        assert store.resolved(child) == resolve(child, store)
+
+    def test_failed_resolve_is_not_memoized(self):
+        child = derive(_parent(), "child", "Child", store=TemplateStore([_parent()]))
+        store = TemplateStore([child])
+        with pytest.raises(MissingParent):
+            store.resolved(child)
+        store.add(_parent())
+        assert store.resolved(child) == resolve(child, store)
 
     def test_latest_picks_highest_version(self):
         store = TemplateStore([_parent(version=1), _parent(version=3)])
