@@ -11,14 +11,16 @@ stdout or the path given with -o.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 
 from . import assets
 from .derivation import TemplateStore, derive, load_card, reconcile, resolve
 from .diagnostics import Diagnostic, Severity, has_errors, sort_diagnostics
-from .errors import DataCardError, DecodeError, DerivationInvalid
+from .errors import DataCardError, DecodeError, DerivationInvalid, ParseError
 from .lint import DEFAULT_CONFIG, CardUnderLint, lint_card, lint_comparability, lint_template
 from .model import (
     Author,
@@ -41,6 +43,7 @@ from .often import (
 )
 from .registry import (
     FILTER_KEYS,
+    Index,
     build_index,
     changeset_obj,
     diff,
@@ -98,15 +101,61 @@ def _read(path: str) -> bytes:
 
 
 def _emit(data: bytes, out: str | None) -> None:
+    """Write ``data`` to stdout, or to the file ``out`` atomically.
+
+    A file is written as a temporary file beside it and renamed over it, so
+    ``out`` is either untouched or complete. The result gets the permissions
+    a plain ``open(out, "wb")`` would give it. A device or pipe is written
+    through, as there is nothing to replace.
+    """
     if out is None or out == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
     try:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        target = os.path.realpath(out)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "wb") as fh:
+                fh.write(data)
+        else:
+            _replace(target, data)
     except OSError as exc:
+        if exc.filename is not None:  # name the target, not the temporary file
+            exc = OSError(exc.errno, exc.strerror, out)
         raise CliFailure(f"cannot write {out}: {exc}") from None
+
+
+def _replace(target: str, data: bytes) -> None:
+    mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else None
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # 0o666 under the umask, as open() creates a file
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _previous_index(path: str) -> Index | None:
+    """The index file at ``path``, if there is one that parses.
+
+    The index is a derived cache: a missing, unreadable, old or malformed one
+    is simply rebuilt in full, without comment.
+    """
+    if not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "rb") as fh:
+            return parse_index(fh.read())
+    except (OSError, ParseError):
+        return None
 
 
 def _store(args, extra_dirs: list[str] = ()) -> TemplateStore:
@@ -230,9 +279,14 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    store = _store(args, [os.path.dirname(os.path.abspath(args.template))]
-                   if os.path.isfile(args.template) else [])
-    template = _template_from_ref(args.template, store)
+    if os.path.isfile(args.template):
+        # a broken file named on the command line is reported as it is given,
+        # before the scan of its directory reports it under its path
+        template = parse_template(_read(args.template))
+        store = _store(args, [os.path.dirname(os.path.abspath(args.template))])
+    else:
+        store = _store(args)
+        template = _template_from_ref(args.template, store)
     _emit(serialize(resolve(template, store)), args.output)
     return 0
 
@@ -385,10 +439,11 @@ def _cmd_render(args) -> int:
 
 def _cmd_index(args) -> int:
     store = _store(args)
-    build = build_index(args.directory, store)
+    out = args.output or os.path.join(args.directory, f"index{INDEX_EXTENSION}")
+    previous = None if out == "-" else _previous_index(out)
+    build = build_index(args.directory, store, previous)
     for problem in build.problems:
         print(f"skipped {problem}", file=sys.stderr)
-    out = args.output or os.path.join(args.directory, f"index{INDEX_EXTENSION}")
     _emit(serialize_index(build.index), out)
     return 0
 
@@ -401,7 +456,8 @@ def _cmd_search(args) -> int:
         if value is not None:
             filters[key] = value
     if os.path.isdir(args.target):
-        build = build_index(args.target, store)
+        previous = _previous_index(os.path.join(args.target, f"index{INDEX_EXTENSION}"))
+        build = build_index(args.target, store, previous)
         for problem in build.problems:
             print(f"skipped {problem}", file=sys.stderr)
         index = build.index

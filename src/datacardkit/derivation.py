@@ -19,11 +19,13 @@ from typing import Iterable
 from .diagnostics import Severity
 from .errors import (
     ChainTooDeep,
+    DecodeError,
     DerivationInvalid,
     IdCollision,
     InvalidOverride,
     LineageMismatch,
     MissingParent,
+    ParseError,
     UnknownBlock,
 )
 from .model import (
@@ -98,6 +100,9 @@ class TemplateStore:
     def __len__(self) -> int:
         return len(self._by_key)
 
+    def __contains__(self, key: tuple[str, int]) -> bool:
+        return key in self._by_key
+
     @classmethod
     def scan(cls, directories: Iterable[str]) -> "TemplateStore":
         """Load every ``*.dct.json`` under the given directories."""
@@ -108,8 +113,17 @@ class TemplateStore:
             for root, _dirs, files in os.walk(directory):
                 for name in sorted(files):
                     if name.endswith(TEMPLATE_EXTENSION):
-                        with open(os.path.join(root, name), "rb") as fh:
-                            store.add(parse_template(fh.read()))
+                        path = os.path.join(root, name)
+                        with open(path, "rb") as fh:
+                            data = fh.read()
+                        try:
+                            template = parse_template(data)
+                        except DecodeError as exc:
+                            raise DecodeError(
+                                f"{path} is not a template document ({exc})") from None
+                        except ParseError as exc:
+                            raise ParseError(f"{path}: {exc}") from None
+                        store.add(template)
         return store
 
 

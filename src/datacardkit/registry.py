@@ -1,9 +1,11 @@
 """Local card repository: index construction, search, and version diffing.
 
 The index is a single canonical-form file over a directory of cards. Every
-entry records the card's content digest, so a stale index is detectable and
-refused rather than trusted. Search is a conjunction of simple filters;
-anything fancier belongs in the caller.
+entry records the card's content digest and every template the entries were
+built against records the digest of its resolved form, so a stale index is
+detectable and refused rather than trusted. The same records let a rebuild
+reuse every entry whose inputs are unchanged. Search is a conjunction of
+simple filters; anything fancier belongs in the caller.
 """
 
 from __future__ import annotations
@@ -14,27 +16,43 @@ import os
 from dataclasses import dataclass
 
 from .derivation import TemplateStore, ancestry, load_card
-from .errors import LineageMismatch, ParseError, UnknownFilterKey
+from .errors import DataCardError, LineageMismatch, ParseError, UnknownFilterKey
 from .model import Card, Template
 from .render import telescope_tags
 from .serialization import (
     CARD_EXTENSION,
     FORMAT_VERSION,
     _check_format_version,
+    _emit,
     _load_document,
     _Node,
     canonical_json_bytes,
     card_digest,
     card_obj,
+    is_digest,
+    serialize,
 )
 
 FILTER_KEYS = ("tag", "theme", "lineage", "title")
 
 
 @dataclass(frozen=True)
+class TemplateRow:
+    """What index entries take from one template: its lineage root and the
+    sha256 of its resolved form's canonical bytes."""
+
+    id: str
+    version: int
+    lineage_root: str
+    digest: str
+
+
+@dataclass(frozen=True)
 class IndexEntry:
     card_id: str
     title: str
+    template_id: str
+    template_version: int
     lineage_root: str
     tags: tuple[str, ...]
     telescope_tags: tuple[str, ...]
@@ -46,11 +64,16 @@ class IndexEntry:
 @dataclass(frozen=True)
 class Index:
     entries: tuple[IndexEntry, ...]
+    templates: tuple[TemplateRow, ...]
 
     def __post_init__(self):
         object.__setattr__(
             self, "entries",
             tuple(sorted(self.entries, key=lambda e: e.card_id)),
+        )
+        object.__setattr__(
+            self, "templates",
+            tuple(sorted(self.templates, key=lambda t: (t.id, t.version))),
         )
 
 
@@ -62,11 +85,31 @@ class IndexBuild:
     problems: tuple[str, ...]
 
 
+def template_row(template: Template, store: TemplateStore) -> TemplateRow:
+    return TemplateRow(
+        id=template.id,
+        version=template.version,
+        lineage_root=ancestry(template, store)[0].id,
+        digest=hashlib.sha256(serialize(store.resolved(template))).hexdigest(),
+    )
+
+
+def _current_row(key: tuple[str, int], store: TemplateStore) -> TemplateRow | None:
+    """The row ``key`` has in ``store`` now; None if it is missing or no
+    longer resolves."""
+    try:
+        return template_row(store.get(*key), store)
+    except DataCardError:
+        return None
+
+
 def index_entry(card: Card, template: Template, resolved: Template,
                 path: str, store: TemplateStore) -> IndexEntry:
     return IndexEntry(
         card_id=card.id,
         title=card.dataset_title,
+        template_id=template.id,
+        template_version=template.version,
         lineage_root=ancestry(template, store)[0].id,
         tags=tuple(sorted({t.strip().lower() for t in card.audience_tags if t.strip()})),
         telescope_tags=tuple(telescope_tags(card, resolved)),
@@ -76,18 +119,38 @@ def index_entry(card: Card, template: Template, resolved: Template,
     )
 
 
-def build_index(directory: str, store: TemplateStore | None = None) -> IndexBuild:
+def _merged_store(directory: str, store: TemplateStore | None) -> TemplateStore:
+    merged = TemplateStore(store or ())
+    for template in TemplateStore.scan([directory]):
+        merged.add(template)
+    return merged
+
+
+def build_index(directory: str, store: TemplateStore | None = None,
+                previous: Index | None = None) -> IndexBuild:
     """Index every ``*.dcc.json`` under ``directory``.
 
     Templates are looked up in ``store``, pre-seeded with any ``*.dct.json``
     found beside the cards. Paths in the index are relative to ``directory``
     with forward slashes, so the index file relocates with its directory.
+
+    ``previous`` is an index this function wrote earlier. A file reuses the
+    previous entry at its path when the sha256 of its bytes equals the
+    entry's digest and the entry's template row equals the row computed now;
+    every other file is loaded. The result equals that of a build without
+    ``previous``, byte for byte and problem for problem.
     """
     if not os.path.isdir(directory):
         raise OSError(f"{directory!r} is not a readable directory")
-    merged = TemplateStore(store or ())
-    for template in TemplateStore.scan([directory]):
-        merged.add(template)
+    merged = _merged_store(directory, store)
+    old_entries = {e.path: e for e in previous.entries} if previous else {}
+    old_rows = {(r.id, r.version): r for r in previous.templates} if previous else {}
+    rows: dict[tuple[str, int], TemplateRow | None] = {}
+
+    def row(key: tuple[str, int]) -> TemplateRow | None:
+        if key not in rows:
+            rows[key] = _current_row(key, merged)
+        return rows[key]
 
     entries: list[IndexEntry] = []
     problems: list[str] = []
@@ -102,17 +165,33 @@ def build_index(directory: str, store: TemplateStore | None = None) -> IndexBuil
         try:
             with open(file_path, "rb") as fh:
                 data = fh.read()
-            card, template, resolved = load_card(data, merged)
-            if card.id in seen_ids:
+            entry = old_entries.get(rel)
+            if entry is not None:
+                key = (entry.template_id, entry.template_version)
+                if (hashlib.sha256(data).hexdigest() != entry.digest
+                        or row(key) is None or row(key) != old_rows.get(key)):
+                    entry = None
+            if entry is None:
+                card, template, resolved = load_card(data, merged)
+                card_id = card.id
+            else:
+                card_id = entry.card_id
+            if card_id in seen_ids:
                 problems.append(
-                    f"{rel}: card id {card.id!r} already indexed from {seen_ids[card.id]!r}"
+                    f"{rel}: card id {card_id!r} already indexed from {seen_ids[card_id]!r}"
                 )
                 continue
-            seen_ids[card.id] = rel
-            entries.append(index_entry(card, template, resolved, rel, merged))
+            seen_ids[card_id] = rel
+            if entry is None:
+                entry = index_entry(card, template, resolved, rel, merged)
+            entries.append(entry)
         except Exception as exc:  # report and continue; one bad file is not fatal
             problems.append(f"{rel}: {exc}")
-    return IndexBuild(index=Index(entries=tuple(entries)), problems=tuple(problems))
+    used = {(e.template_id, e.template_version) for e in entries}
+    return IndexBuild(
+        index=Index(entries=tuple(entries), templates=tuple(row(key) for key in used)),
+        problems=tuple(problems),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +199,75 @@ def build_index(directory: str, store: TemplateStore | None = None) -> IndexBuil
 # ---------------------------------------------------------------------------
 
 
-def index_obj(index: Index) -> dict:
+def _row_obj(row: TemplateRow) -> dict:
+    return {"id": row.id, "version": row.version, "lineage_root": row.lineage_root,
+            "digest": row.digest}
+
+
+def _entry_obj(e: IndexEntry) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "index",
-        "entries": [
-            {
-                "card_id": e.card_id,
-                "title": e.title,
-                "lineage_root": e.lineage_root,
-                "tags": list(e.tags),
-                "telescope_tags": list(e.telescope_tags),
-                "themes": list(e.themes),
-                "path": e.path,
-                "digest": e.digest,
-            }
-            for e in index.entries
-        ],
+        "card_id": e.card_id,
+        "title": e.title,
+        "template_id": e.template_id,
+        "template_version": e.template_version,
+        "lineage_root": e.lineage_root,
+        "tags": list(e.tags),
+        "telescope_tags": list(e.telescope_tags),
+        "themes": list(e.themes),
+        "path": e.path,
+        "digest": e.digest,
     }
 
 
+def _envelope(index: Index, entries: list) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "index",
+        "templates": [_row_obj(r) for r in index.templates],
+        "entries": entries,
+    }
+
+
+def index_obj(index: Index) -> dict:
+    return _envelope(index, [_entry_obj(e) for e in index.entries])
+
+
 def serialize_index(index: Index) -> bytes:
-    return canonical_json_bytes(index_obj(index))
+    """``canonical_json_bytes(index_obj(index))``, emitted one entry at a time.
+
+    The envelope is emitted once and each entry on its own, so neither the
+    whole object tree nor the whole text is ever held next to the result.
+    """
+    envelope = _envelope(index, [])
+    if not index.entries:
+        return canonical_json_bytes(envelope)
+    head = _emit(envelope, "\n")
+    # the envelope ends in '"entries": []\n}'; open the list instead
+    parts = [head[:-len("]\n}")].encode("utf-8")]
+    separator = "\n    "
+    for entry in index.entries:
+        parts.append((separator + _emit(_entry_obj(entry), "\n    ")).encode("utf-8"))
+        separator = ",\n    "
+    parts.append(b"\n  ]\n}\n")
+    return b"".join(parts)
+
+
+def _relative_path(node: _Node, key: str) -> str:
+    """A path inside the indexed directory, in the form ``build_index`` writes."""
+    value = node.str_(key)
+    if "\\" in value or any(part in ("", ".", "..") for part in value.split("/")):
+        raise ParseError(
+            f"{value!r} is not a normalized relative path with forward slashes",
+            path=node.child_path(key),
+        )
+    return value
+
+
+def _digest(node: _Node, key: str) -> str:
+    value = node.str_(key)
+    if not is_digest(value):
+        raise ParseError("must be 64 lowercase hex characters", path=node.child_path(key))
+    return value
 
 
 def parse_index(data: bytes) -> Index:
@@ -149,15 +275,44 @@ def parse_index(data: bytes) -> Index:
     root.require("format_version", "entries")
     root.take("kind")
     _check_format_version(root)
+    if "templates" not in root.obj:
+        raise ParseError(
+            "index has no templates table, so it predates this version of "
+            "datacardkit; rebuild it with `datacard index`",
+            path="/",
+        )
+    raw_rows, rows_path = root.list_("templates")
     raw_entries, entries_path = root.list_("entries")
     root.finish()
+    rows: dict[tuple[str, int], TemplateRow] = {}
+    for i, raw in enumerate(raw_rows):
+        node = _Node(raw, f"{rows_path}/{i}")
+        node.require("id", "version", "lineage_root", "digest")
+        row = TemplateRow(
+            id=node.slug("id"),
+            version=node.int_("version", minimum=1),
+            lineage_root=node.slug("lineage_root"),
+            digest=_digest(node, "digest"),
+        )
+        node.finish()
+        if (row.id, row.version) in rows:
+            raise ParseError(f"template {row.id!r} v{row.version} is listed twice",
+                             path=node.path)
+        rows[(row.id, row.version)] = row
     entries = []
     for i, raw in enumerate(raw_entries):
         node = _Node(raw, f"{entries_path}/{i}")
-        node.require("card_id", "title", "lineage_root", "tags",
-                     "telescope_tags", "themes", "path", "digest")
+        node.require("card_id", "title", "template_id", "template_version", "lineage_root",
+                     "tags", "telescope_tags", "themes", "path", "digest")
         card_id = node.slug("card_id")
         title = node.str_("title")
+        template_id = node.slug("template_id")
+        template_version = node.int_("template_version", minimum=1)
+        if (template_id, template_version) not in rows:
+            raise ParseError(
+                f"template {template_id!r} v{template_version} has no row in /templates",
+                path=node.path,
+            )
         lineage_root = node.slug("lineage_root")
         tags, tags_path = node.list_("tags")
         ttags, ttags_path = node.list_("telescope_tags")
@@ -166,30 +321,36 @@ def parse_index(data: bytes) -> Index:
             for j, item in enumerate(lst):
                 if not isinstance(item, str) or not item:
                     raise ParseError("expected non-empty string", path=f"{lst_path}/{j}")
-        path = node.str_("path")
-        digest = node.str_("digest")
+        path = _relative_path(node, "path")
+        digest = _digest(node, "digest")
         node.finish()
         entries.append(IndexEntry(
-            card_id=card_id, title=title, lineage_root=lineage_root,
+            card_id=card_id, title=title, template_id=template_id,
+            template_version=template_version, lineage_root=lineage_root,
             tags=tuple(tags), telescope_tags=tuple(ttags), themes=tuple(themes),
             path=path, digest=digest,
         ))
-    return Index(entries=tuple(entries))
+    return Index(entries=tuple(entries), templates=tuple(rows.values()))
 
 
 def verify_index(index: Index, directory: str,
                  store: TemplateStore | None = None) -> list[str]:
-    """Digest-check every entry against its file; non-empty means stale.
+    """Check every template row and every entry; non-empty means stale.
 
-    Entry digests are over canonical bytes. Files the toolkit wrote are
-    canonical, so a raw byte hash settles most entries; otherwise the card is
-    re-parsed and its canonical digest compared.
+    A row is stale when its template is gone from the store or resolves to
+    something else now. Entry digests are over canonical bytes. Files the
+    toolkit wrote are canonical, so a raw byte hash settles most entries;
+    otherwise the card is re-parsed and its canonical digest compared.
     """
-    merged = TemplateStore(store or ())
-    if os.path.isdir(directory):
-        for template in TemplateStore.scan([directory]):
-            merged.add(template)
+    merged = (_merged_store(directory, store) if os.path.isdir(directory)
+              else TemplateStore(store or ()))
     stale: list[str] = []
+    for row in index.templates:
+        key = (row.id, row.version)
+        if key not in merged:
+            stale.append(f"template {row.id} v{row.version}: is gone")
+        elif _current_row(key, merged) != row:
+            stale.append(f"template {row.id} v{row.version}: changed since indexing")
     for entry in index.entries:
         file_path = os.path.join(directory, entry.path.replace("/", os.sep))
         if not os.path.isfile(file_path):

@@ -8,7 +8,6 @@ and must ground every rating in evidence and concrete next steps.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -22,6 +21,7 @@ from .serialization import (
     _Node,
     canonical_json_bytes,
     format_timestamp,
+    is_digest,
 )
 
 
@@ -51,8 +51,6 @@ class Rating(str, Enum):
 
 
 RATING_LABELS = frozenset(r.value for r in Rating)
-
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def parse_review(data: bytes) -> ReviewRecord:
     _check_format_version(root)
     card_id = root.slug("card_id")
     digest = root.str_("card_digest")
-    if not _DIGEST_RE.match(digest):
+    if not is_digest(digest):
         raise ParseError("card_digest must be 64 lowercase hex characters",
                          path="/card_digest")
     reviewer_node = _Node(root.take("reviewer"), "/reviewer")

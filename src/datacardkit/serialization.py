@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Any
@@ -313,6 +314,14 @@ def card_digest(card: Card) -> str:
     return hashlib.sha256(serialize(card)).hexdigest()
 
 
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def is_digest(value: str) -> bool:
+    """True for a sha256 digest as this toolkit writes it: 64 lowercase hex."""
+    return _DIGEST_RE.fullmatch(value) is not None
+
+
 # ---------------------------------------------------------------------------
 # Strict parsing
 # ---------------------------------------------------------------------------
@@ -428,7 +437,9 @@ def _load_document(data: bytes, expected_kind: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DecodeError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+        # some decoder messages end in " at", meant to precede a position
+        raise DecodeError(f"invalid JSON: {exc.msg.removesuffix(' at')}",
+                          line=exc.lineno, column=exc.colno) from None
     except RecursionError:
         raise DecodeError("document is nested too deeply") from None
     except ValueError:

@@ -1,9 +1,11 @@
 """Work budgets: exact counts of the work a command does, independent of timing.
 
 A command that reads n cards decodes each card's JSON once and each template
-file it scans once, and resolves each template the cards name once. A second
-decode or resolve of the same input is pure waste that no timing test would
-reliably catch.
+file it scans once, and resolves each template the cards name once. With a
+fresh index beside the cards, ``index`` and ``search`` over the directory
+decode only that index and the cards rewritten since. A second decode or
+resolve of the same input is pure waste that no timing test would reliably
+catch.
 """
 
 import json
@@ -55,9 +57,12 @@ def decodes(monkeypatch):
     return counts
 
 
+def _scanned_templates(directory) -> int:
+    return _template_files(directory) + _template_files(assets.data_dir())
+
+
 def _assert_one_decode_each(decodes, directory):
-    templates = _template_files(directory) + _template_files(assets.data_dir())
-    assert decodes == Counter({"card": N_CARDS, "template": templates})
+    assert decodes == Counter({"card": N_CARDS, "template": _scanned_templates(directory)})
 
 
 def test_index_decodes_each_card_once(synth_dir, decodes, capsys):
@@ -121,4 +126,51 @@ def test_lint_resolves_each_template_once(fork_dir, resolves, capsys):
     cards = sorted(str(p) for p in fork_dir.glob("*.dcc.json"))
     assert main(["lint", "--format", "json", *cards]) in (0, 1)
     capsys.readouterr()
+    assert resolves == Counter({("cv-fairness-extended", 1): 1})
+
+
+# With a fresh index present, ``index DIR`` and ``search DIR`` reuse every
+# entry: they decode the index and the templates, and no card.
+
+
+def _fresh_index(directory, capsys, decodes):
+    assert main(["index", str(directory)]) == 0
+    capsys.readouterr()
+    decodes.clear()
+
+
+def test_reindex_decodes_no_card(synth_dir, decodes, capsys):
+    _fresh_index(synth_dir, capsys, decodes)
+    assert main(["index", str(synth_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert decodes == Counter({"index": 1, "template": _scanned_templates(synth_dir)})
+
+
+def test_search_dir_decodes_no_card(synth_dir, decodes, capsys):
+    _fresh_index(synth_dir, capsys, decodes)
+    assert main(["search", str(synth_dir)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == N_CARDS
+    assert decodes == Counter({"index": 1, "template": _scanned_templates(synth_dir)})
+
+
+@pytest.mark.parametrize("rewritten", [1, 3])
+def test_reindex_decodes_each_rewritten_card(synth_dir, decodes, capsys, rewritten):
+    _fresh_index(synth_dir, capsys, decodes)
+    template = parse_template(next(synth_dir.glob("*.dct.json")).read_bytes())
+    rng = random.Random(27)
+    for i in range(rewritten):
+        card = random_card(rng, template, card_id=f"card-{i:02d}")
+        (synth_dir / f"card-{i:02d}.dcc.json").write_bytes(serialize(card))
+    decodes.clear()
+    assert main(["index", str(synth_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert decodes == Counter({"card": rewritten, "index": 1,
+                               "template": _scanned_templates(synth_dir)})
+
+
+def test_reindex_resolves_each_template_once(fork_dir, resolves, capsys):
+    assert main(["index", str(fork_dir)]) == 0
+    resolves.clear()
+    assert main(["index", str(fork_dir)]) == 0
+    assert capsys.readouterr().err == ""
     assert resolves == Counter({("cv-fairness-extended", 1): 1})

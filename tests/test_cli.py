@@ -2,15 +2,20 @@
 
 import json
 import os
+import resource
 import shutil
+import signal
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import datacardkit
+from datacardkit.assets import canonical_template
 from datacardkit.cli import main
-from datacardkit.derivation import TemplateStore, derive
+from datacardkit.derivation import TemplateStore, derive, resolve
 from datacardkit.model import AnswerSpec, Block, Override, Row, Section, Template
 from datacardkit.serialization import parse_card, parse_template, serialize
 from datacardkit.taxonomy import AnswerKind, ScopeLevel
@@ -545,6 +550,69 @@ class TestRegistryCli:
         doc = json.loads(out)
         assert [e["card_id"] for e in doc["entries"]] == ["cv-people-boxes"]
 
+    def test_reindex_reuses_and_search_dir_reads_the_index(self, capsys, library):
+        assert _run(capsys, "index", str(library)) == (0, "", "")
+        index_file = library / "index.dcx.json"
+        first = index_file.read_bytes()
+        assert _run(capsys, "index", str(library)) == (0, "", "")
+        assert index_file.read_bytes() == first
+        code, out, err = _run(capsys, "search", str(library), "--tag", "fairness")
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[0] for line in out.splitlines()] == [
+            "cv-people-boxes", "translation-bios"]
+
+    @pytest.mark.parametrize("content", [
+        b"{", b"[]", b'{"format_version": 1, "kind": "index", "entries": []}',
+    ], ids=["broken", "not-an-index", "old-format"])
+    def test_unusable_previous_index_is_rebuilt_silently(self, capsys, library, content):
+        assert _run(capsys, "index", str(library)) == (0, "", "")
+        index_file = library / "index.dcx.json"
+        fresh = index_file.read_bytes()
+        index_file.write_bytes(content)
+        code, out, err = _run(capsys, "search", str(library), "--tag", "fairness")
+        assert (code, err, len(out.splitlines())) == (0, "", 2)
+        assert _run(capsys, "index", str(library)) == (0, "", "")
+        assert index_file.read_bytes() == fresh
+
+    def test_search_refuses_old_index_with_rebuild_message(self, capsys, library):
+        _run(capsys, "index", str(library))
+        index_file = library / "index.dcx.json"
+        doc = json.loads(index_file.read_bytes())
+        del doc["templates"]
+        index_file.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "search", str(index_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: index has no templates table")
+        assert "rebuild it with `datacard index`" in err
+
+    def test_search_refuses_entry_path_outside_directory(self, capsys, library):
+        _run(capsys, "index", str(library))
+        index_file = library / "index.dcx.json"
+        doc = json.loads(index_file.read_bytes())
+        doc["entries"][1]["path"] = "../outside.dcc.json"
+        index_file.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "search", str(index_file))
+        assert (code, out) == (2, "")
+        assert "'../outside.dcc.json' is not a normalized relative path" in err
+
+    def test_search_refuses_index_after_template_edit(self, capsys, library):
+        _run(capsys, "index", str(library))
+        fork = json.loads((library / "cv-fairness-extended.dct.json").read_bytes())
+        fork["id"] = "my-fork"
+        (library / "cv-fairness-extended.dct.json").unlink()
+        (library / "my-fork.dct.json").write_text(json.dumps(fork))
+        card_path = library / "cv-people-boxes.dcc.json"
+        card = json.loads(card_path.read_bytes())
+        card["template_id"] = "my-fork"
+        card_path.write_bytes(serialize(parse_card(json.dumps(card).encode(), _resolved(fork))))
+        _run(capsys, "index", str(library))
+        fork["custom_themes"], fork["sections"] = [], []
+        (library / "my-fork.dct.json").write_text(json.dumps(fork))
+        code, out, err = _run(capsys, "search", str(library / "index.dcx.json"),
+                              "--theme", "bounding-boxes")
+        assert (code, out) == (1, "")
+        assert err == "index is stale; rebuild it:\n  template my-fork v1: changed since indexing\n"
+
     def test_diff_same_card(self, capsys):
         code, out, _ = _run(capsys, "diff", CV_CARD, CV_CARD)
         assert code == 0
@@ -566,6 +634,127 @@ class TestRegistryCli:
         lines = [l for l in out.splitlines() if not l.startswith("metadata")]
         assert lines == [l for l in lines if "bounding-box-count" in l]
         assert "answer-changed" in out
+
+
+def _resolved(template_doc: dict) -> Template:
+    store = TemplateStore([canonical_template()])
+    return resolve(parse_template(json.dumps(template_doc).encode()), store)
+
+
+class TestAtomicWrite:
+    """An output file is written beside its target and renamed over it."""
+
+    def test_failed_write_leaves_old_index_intact(self, tmp_path):
+        for name in ("cv-people-boxes.dcc.json", "translation-bios.dcc.json"):
+            shutil.copy(cards_dir() / name, tmp_path / name)
+        index_file = tmp_path / "index.dcx.json"
+        old = b'{"kind": "index", "not": "parseable as one"}\n' * 8
+        index_file.write_bytes(old)
+
+        def small_files():
+            # writes past 2 KiB fail with EFBIG instead of killing the process
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048))
+
+        src = os.path.dirname(os.path.dirname(datacardkit.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "datacardkit.cli", "index", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=small_files)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {index_file}: ")
+        assert "File too large" in proc.stderr
+        assert index_file.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cv-people-boxes.dcc.json", "index.dcx.json", "translation-bios.dcc.json"]
+
+    def test_failure_names_the_target(self, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "card.dcc.json"
+        code, _, err = _run(capsys, "new", "data-card-canonical", "--id", "x",
+                            "--title", "X", "-o", str(out))
+        assert code == 2
+        assert err == (f"error: cannot write {out}: [Errno 2] No such file or directory: "
+                       f"'{out}'\n")
+
+    def test_new_file_gets_umask_permissions(self, capsys, tmp_path):
+        out = tmp_path / "card.dcc.json"
+        old_umask = os.umask(0o027)
+        try:
+            code, _, _ = _run(capsys, "new", "data-card-canonical", "--id", "x",
+                              "--title", "X", "--created", "2024-01-01T00:00:00Z",
+                              "-o", str(out))
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["card.dcc.json"]
+
+    def test_existing_file_keeps_its_permissions(self, capsys, tmp_path):
+        out = tmp_path / "card.dcc.json"
+        out.write_bytes(b"old")
+        out.chmod(0o604)
+        code, _, _ = _run(capsys, "new", "data-card-canonical", "--id", "x",
+                          "--title", "X", "--created", "2024-01-01T00:00:00Z",
+                          "-o", str(out))
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+        assert json.loads(out.read_bytes())["id"] == "x"
+
+    def test_symlink_target_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "real.dcc.json"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.dcc.json"
+        link.symlink_to(target)
+        code, _, _ = _run(capsys, "new", "data-card-canonical", "--id", "x",
+                          "--title", "X", "--created", "2024-01-01T00:00:00Z",
+                          "-o", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_bytes())["id"] == "x"
+
+
+    def test_pipe_is_written_through(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = _run(capsys, "new", "data-card-canonical", "--id", "x",
+                          "--title", "X", "--created", "2024-01-01T00:00:00Z",
+                          "-o", str(fifo))
+        reader.join(timeout=10)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert json.loads(received[0])["id"] == "x"
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+class TestDecodeMessages:
+    def test_broken_template_in_scanned_directory_is_named(self, capsys, tmp_path):
+        shutil.copy(cards_dir() / "translation-bios.dcc.json", tmp_path)
+        broken = tmp_path / "broken.dct.json"
+        broken.write_bytes(b"{")
+        code, out, err = _run(capsys, "index", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {broken} is not a template document (invalid JSON: "
+                       "Expecting property name enclosed in double quotes at line 1, "
+                       "column 2)\n")
+
+    def test_unparseable_template_in_scanned_directory_is_named(self, capsys, tmp_path):
+        shutil.copy(cards_dir() / "translation-bios.dcc.json", tmp_path)
+        broken = tmp_path / "broken.dct.json"
+        broken.write_bytes(b'{"kind": "template"}')
+        code, _, err = _run(capsys, "lint", str(tmp_path / "translation-bios.dcc.json"))
+        assert code == 2
+        assert err.startswith(f"error: {broken}: missing required field(s): ")
+
+    def test_unterminated_string_has_one_at(self, capsys, tmp_path):
+        card = tmp_path / "cut.dcc.json"
+        card.write_bytes(b'{\n  "id": "cut')
+        code, _, err = _run(capsys, "lint", str(card))
+        assert code == 2
+        assert err == (f"error: {card} is not a card document (invalid JSON: "
+                       "Unterminated string starting at line 2, column 9)\n")
 
 
 class TestTemplatePath:

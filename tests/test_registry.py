@@ -5,7 +5,7 @@ import json
 import pytest
 
 from datacardkit.derivation import TemplateStore, derive, resolve
-from datacardkit.errors import LineageMismatch, UnknownFilterKey
+from datacardkit.errors import LineageMismatch, ParseError, UnknownFilterKey
 from datacardkit.model import Row, Section, Suppression
 from datacardkit.registry import (
     CHANGE_BLOCK_ADDED,
@@ -15,13 +15,14 @@ from datacardkit.registry import (
     build_index,
     diff,
     format_changeset,
+    index_obj,
     parse_index,
     search,
     serialize_index,
     verify_index,
 )
 from datacardkit.render import telescope_tags
-from datacardkit.serialization import parse_card, serialize
+from datacardkit.serialization import canonical_json_bytes, parse_card, serialize
 from datacardkit.synth import mutate_card, random_card, random_template
 
 N_TEMPLATES = 5
@@ -111,6 +112,104 @@ class TestIndexBuild:
         build = build_index(str(tmp_path))
         assert build.index.entries == ()
         assert len(build.problems) == 1
+
+
+class TestIndexFormat:
+    def test_serialize_index_is_the_canonical_form(self, registry):
+        _, index, _ = registry
+        assert serialize_index(index) == canonical_json_bytes(index_obj(index))
+        empty = type(index)(entries=(), templates=())
+        assert serialize_index(empty) == canonical_json_bytes(index_obj(empty))
+        entry = index.entries[0]
+        odd = type(index)(
+            entries=(type(entry)(**{**vars(entry), "title": "Zählung \"ö\" \u2028 ✓",
+                                    "tags": (), "telescope_tags": ("a\tb",)}),),
+            templates=index.templates)
+        assert serialize_index(odd) == canonical_json_bytes(index_obj(odd))
+
+    def test_templates_table_has_one_row_per_template_used(self, registry):
+        _, index, truth = registry
+        assert [(r.id, r.version) for r in index.templates] == sorted(
+            {(t.id, t.version) for _, t in truth})
+        for row in index.templates:
+            assert row.lineage_root == row.id  # synthetic templates have no lineage
+
+    @staticmethod
+    def _doc(registry):
+        _, index, _ = registry
+        return json.loads(serialize_index(index))
+
+    def _refused(self, doc, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_index(json.dumps(doc).encode())
+        assert message in str(excinfo.value)
+
+    def test_index_without_templates_table_says_rebuild(self, registry):
+        doc = self._doc(registry)
+        del doc["templates"]
+        self._refused(doc, "rebuild it with `datacard index`")
+
+    @pytest.mark.parametrize("path", [
+        "../outside.dcc.json", "/abs/card.dcc.json", "sub\\card.dcc.json",
+        "./card.dcc.json", "sub//card.dcc.json", "sub/", "sub/../card.dcc.json", ".",
+    ])
+    def test_entry_path_must_stay_inside_the_directory(self, registry, path):
+        doc = self._doc(registry)
+        doc["entries"][0]["path"] = path
+        self._refused(doc, "is not a normalized relative path with forward slashes "
+                           "at /entries/0/path")
+
+    def test_entry_path_is_required(self, registry):
+        doc = self._doc(registry)
+        del doc["entries"][0]["path"]
+        self._refused(doc, "missing required field(s): path at /entries/0")
+
+    @pytest.mark.parametrize("digest", ["A" * 64, "a" * 63, "a" * 65, "g" * 64, "a" * 64 + "\n"])
+    def test_digests_are_64_lowercase_hex(self, registry, digest):
+        doc = self._doc(registry)
+        doc["entries"][0]["digest"] = digest
+        self._refused(doc, "must be 64 lowercase hex characters at /entries/0/digest")
+        doc = self._doc(registry)
+        doc["templates"][0]["digest"] = digest
+        self._refused(doc, "must be 64 lowercase hex characters at /templates/0/digest")
+
+    def test_every_entry_needs_a_templates_row(self, registry):
+        doc = self._doc(registry)
+        entry = doc["entries"][0]
+        doc["templates"] = [r for r in doc["templates"] if r["id"] != entry["template_id"]]
+        self._refused(doc, "has no row in /templates at /entries/")
+
+    def test_a_template_is_listed_once(self, registry):
+        doc = self._doc(registry)
+        doc["templates"].append(doc["templates"][0])
+        self._refused(doc, "is listed twice")
+
+
+class TestIncrementalBuild:
+    def test_unchanged_directory_reuses_every_entry(self, registry):
+        directory, index, _ = registry
+        again = build_index(str(directory), previous=index).index
+        assert all(new is old for new, old in zip(again.entries, index.entries))
+
+    def test_entry_from_elsewhere_is_never_reused(self, registry):
+        # an entry is matched by its path; its digest alone does not place it
+        directory, index, _ = registry
+        moved = type(index)(
+            entries=tuple(type(e)(**{**vars(e), "path": "sub/" + e.path}) for e in index.entries),
+            templates=index.templates)
+        again = build_index(str(directory), previous=moved).index
+        assert serialize_index(again) == serialize_index(index)
+
+    def test_template_edit_rebuilds_its_entries(self, registry):
+        directory, index, truth = registry
+        _card, template = truth[0]
+        edited = type(template)(**{**vars(template), "title": template.title + " (edited)"})
+        (directory / f"{template.id}.dct.json").write_bytes(serialize(edited))
+        again = build_index(str(directory), previous=index)
+        assert serialize_index(again.index) == serialize_index(build_index(str(directory)).index)
+        assert serialize_index(again.index) != serialize_index(index)
+        assert verify_index(index, str(directory)) == [
+            f"template {template.id} v{template.version}: changed since indexing"]
 
 
 class TestVerify:
