@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import stat
 import sys
@@ -329,8 +330,9 @@ def _cmd_lint(args) -> int:
             found = lint_template(template)
         elif path.endswith(CARD_EXTENSION):
             card, authored, resolved = _load_card(path, store)
-            card_entries.append(CardUnderLint(card=card, template=authored))
             found = lint_card(card, resolved, config)
+            # CMP-001 reads only the card id: drop the answers until it runs.
+            card_entries.append(CardUnderLint(dataclasses.replace(card, answers={}), authored))
         elif path.endswith(REVIEW_EXTENSION):
             found = validate_review(parse_review(_read(path)))
         else:

@@ -8,6 +8,7 @@ deterministic: diagnostics sort by (path, rule id).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -201,6 +202,10 @@ class CardUnderLint:
     template: Template
 
 
+# (lineage root, resolved block ids, block ids suppressed along the chain)
+_Signature = tuple[str, frozenset, frozenset]
+
+
 def lint_comparability(entries: list[CardUnderLint],
                        store: TemplateStore | None = None) -> list[Diagnostic]:
     """CMP-001: cards sharing a lineage root whose resolved block-id sets
@@ -209,30 +214,64 @@ def lint_comparability(entries: list[CardUnderLint],
     Recorded appends still warn: an appended block exists on one side only,
     so comparisons over it are one-sided, and the warning lists exactly which
     ids are affected.
+
+    Whether two cards diverge depends only on their templates' signatures
+    (lineage root, resolved block ids, chain suppressions), so each distinct
+    template is resolved and walked once, each pair of signatures is compared
+    once, and only then is every divergent card pair listed. The cost is
+    linear in cards plus warnings. Only ``entry.card.id`` is read.
     """
     store = store or TemplateStore()
-    out = DiagnosticCollector()
-    prepared = []
+    by_template: dict[int, int] = {}          # id(authored template) -> signature number
+    numbers: dict[_Signature, int] = {}
+    signature_of: list[int] = []              # signature number per entry
     for entry in entries:
-        resolved = store.resolved(entry.template)
-        chain = ancestry(entry.template, store)
-        prepared.append((
-            entry.card,
-            chain[0].id,
-            {b.id for b in resolved.blocks()},
-            {s.block_id for t in chain[1:] for s in t.lineage.suppressions},
-        ))
-    for (card_a, root_a, ids_a, sup_a), (card_b, root_b, ids_b, sup_b) in combinations(prepared, 2):
-        if root_a != root_b:
-            continue
-        explained = sup_a | sup_b
-        divergent = sorted((ids_a ^ ids_b) - explained)
+        number = by_template.get(id(entry.template))
+        if number is None:
+            number = numbers.setdefault(_signature(entry.template, store), len(numbers))
+            by_template[id(entry.template)] = number
+        signature_of.append(number)
+    signatures = list(numbers)
+    members: list[list[int]] = [[] for _ in signatures]   # entry positions per signature
+    for position, number in enumerate(signature_of):
+        members[number].append(position)
+
+    # messages[s][t]: the warning for a card on signature s paired with one
+    # on signature t, present only when the two diverge.
+    messages: list[dict[int, str]] = [{} for _ in signatures]
+    for s, t in combinations(range(len(signatures)), 2):
+        divergent = _divergent_blocks(signatures[s], signatures[t])
         if divergent:
-            pair = "~".join(sorted((card_a.id, card_b.id)))
-            out.add(
-                "CMP-001", Severity.WARNING, pair,
-                f"cards share lineage root {root_a!r} but diverge on block(s): "
-                + ", ".join(divergent),
-                hint="comparisons over these blocks will be one-sided",
-            )
+            messages[s][t] = messages[t][s] = (
+                f"cards share lineage root {signatures[s][0]!r} but diverge on block(s): "
+                + ", ".join(divergent))
+
+    # Pairs in ``combinations(entries, 2)`` order, by first then second
+    # position, so that the stable sort keeps ties between duplicate ids.
+    out = DiagnosticCollector()
+    for a, number in enumerate(signature_of):
+        partners = []
+        for other, message in messages[number].items():
+            later = members[other]
+            partners.extend((b, message) for b in later[bisect_right(later, a):])
+        partners.sort()
+        card_id = entries[a].card.id
+        for b, message in partners:
+            out.add("CMP-001", Severity.WARNING,
+                    "~".join(sorted((card_id, entries[b].card.id))), message,
+                    hint="comparisons over these blocks will be one-sided")
     return out.sorted()
+
+
+def _signature(template: Template, store: TemplateStore) -> _Signature:
+    resolved = store.resolved(template)
+    chain = ancestry(template, store)
+    return (chain[0].id, frozenset(resolved.block_map()),
+            frozenset(s.block_id for t in chain[1:] for s in t.lineage.suppressions))
+
+
+def _divergent_blocks(a: _Signature, b: _Signature) -> list[str]:
+    """Block ids on one side only and suppressed on neither; none across roots."""
+    if a[0] != b[0]:
+        return []
+    return sorted((a[1] ^ b[1]) - (a[2] | b[2]))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from typing import Any, Iterator
 
 from .diagnostics import Diagnostic, DiagnosticCollector, Severity
@@ -196,13 +197,33 @@ class Template:
             yield block
 
     def block_paths(self) -> dict[str, str]:
-        """First path for each block id, template order. Duplicates keep the first."""
+        """First path for each block id, template order. Duplicates keep the first.
+
+        Computed once per template object: the result is shared between
+        callers and must be treated as read-only.
+        """
+        return self._block_paths
+
+    def block_map(self) -> dict[str, Block]:
+        """First block for each block id, template order.
+
+        Computed once per template object: the result is shared between
+        callers and must be treated as read-only.
+        """
+        return self._block_map
+
+    # The sections are immutable tuples, so these memos never go stale.
+    # ``cached_property`` stores them in the instance ``__dict__``: they are
+    # not dataclass fields, so ``==``, ``hash`` and ``replace`` ignore them.
+    @cached_property
+    def _block_paths(self) -> dict[str, str]:
         paths: dict[str, str] = {}
         for section, row, block in self.walk():
             paths.setdefault(block.id, f"{section.id}/{row.id}/{block.id}")
         return paths
 
-    def block_map(self) -> dict[str, Block]:
+    @cached_property
+    def _block_map(self) -> dict[str, Block]:
         out: dict[str, Block] = {}
         for block in self.blocks():
             out.setdefault(block.id, block)

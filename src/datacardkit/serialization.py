@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -151,7 +152,9 @@ def _canon_value(value: Any) -> Any:
 def format_timestamp(ts: datetime) -> str:
     """UTC with explicit ``Z`` offset; fractional seconds only when present."""
     ts = ts.astimezone(timezone.utc)
-    base = ts.strftime("%Y-%m-%dT%H:%M:%S")
+    # the year is zero-padded to four digits, which strftime("%Y") does not do
+    base = (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+            f"T{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}")
     if ts.microsecond:
         base += f".{ts.microsecond:06d}"
     return base + "Z"
@@ -910,10 +913,13 @@ def _check_number(block: Block, value: Any) -> None:
         except ValueError:
             pass
         try:
-            float(value)
-            return
+            number = float(value)
         except ValueError:
             raise BindError(f"{value!r} is not a number", block_id=bid) from None
+        # "inf", "nan", and integer strings too long for int() (float gives inf)
+        if not math.isfinite(number):
+            raise BindError(f"number value must be finite, got {value[:32]!r}", block_id=bid)
+        return
     raise BindError("number value must be a number or numeric string", block_id=bid)
 
 

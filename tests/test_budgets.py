@@ -5,7 +5,9 @@ file it scans once, and resolves each template the cards name once. With a
 fresh index beside the cards, ``index`` and ``search`` over the directory
 decode only that index and the cards rewritten since. A second decode or
 resolve of the same input is pure waste that no timing test would reliably
-catch.
+catch. CMP-001 over n cards on k distinct templates walks each template's
+lineage once and compares at most k * k pairs of template signatures, however
+large n is.
 """
 
 import json
@@ -17,8 +19,9 @@ from collections import Counter
 
 import pytest
 
-from datacardkit import assets, derivation
+from datacardkit import assets, derivation, lint
 from datacardkit.cli import main
+from datacardkit.model import Suppression
 from datacardkit.serialization import parse_template, serialize
 from datacardkit.synth import random_card, random_template
 
@@ -174,3 +177,57 @@ def test_reindex_resolves_each_template_once(fork_dir, resolves, capsys):
     assert main(["index", str(fork_dir)]) == 0
     assert capsys.readouterr().err == ""
     assert resolves == Counter({("cv-fairness-extended", 1): 1})
+
+
+# CMP-001 compares template signatures, not card pairs.
+
+CARDS_PER_TEMPLATE = 4
+
+
+@pytest.fixture
+def fleet_dir(fork_dir):
+    """Cards on three templates: the shipped fork, the canonical template and
+    a suppression-only fork of it."""
+    canonical = assets.canonical_template()
+    store = derivation.TemplateStore([canonical])
+    gated = {b.gate.source_block for b in canonical.blocks() if b.gate}
+    gated |= {b.id for b in canonical.blocks() if b.gate}
+    free = sorted(b.id for b in canonical.blocks() if b.id not in gated)
+    lite = derivation.derive(canonical, "fleet-lite", "Lite", store=store,
+                             suppressions=[Suppression(bid, "unused") for bid in free[:2]])
+    (fork_dir / "fleet-lite.dct.json").write_bytes(serialize(lite))
+    rng = random.Random(29)
+    for template, name in ((canonical, "canon"), (derivation.resolve(lite, store), "lite")):
+        for i in range(CARDS_PER_TEMPLATE):
+            card = random_card(rng, template, card_id=f"{name}-{i:02d}")
+            (fork_dir / f"{name}-{i:02d}.dcc.json").write_bytes(serialize(card))
+    return fork_dir
+
+
+def _counting(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_lint_compares_template_signatures(fleet_dir, monkeypatch, capsys):
+    counts: Counter = Counter()
+    # ancestry: the lineage walk; _signature: one resolved block-id set each;
+    # _divergent_blocks: one comparison of two signatures
+    for name in ("ancestry", "_signature", "_divergent_blocks"):
+        _counting(monkeypatch, lint, name, counts)
+    monkeypatch.delenv("DATACARD_TEMPLATE_PATH", raising=False)
+    cards = sorted(str(p) for p in fleet_dir.glob("*.dcc.json"))
+    templates = 3
+    assert len(cards) == N_CARDS + 2 * CARDS_PER_TEMPLATE > templates
+    assert main(["lint", "--format", "json", *cards]) in (0, 1)
+    warnings = [d for d in json.loads(capsys.readouterr().out)["entries"]
+                if d["rule"] == "CMP-001"]
+    assert len(warnings) == N_CARDS * 2 * CARDS_PER_TEMPLATE
+    assert counts["ancestry"] == templates
+    assert counts["_signature"] == templates
+    assert counts["_divergent_blocks"] <= templates * templates

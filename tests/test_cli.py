@@ -430,6 +430,21 @@ class TestReviewCli:
         assert code == 0
         return path
 
+    @pytest.mark.parametrize("value", ["inf", pytest.param("1" * 5000, id="5000-digits")])
+    def test_non_finite_number_is_refused(self, tmp_path, value):
+        with open(CV_CARD) as fh:
+            obj = json.load(fh)
+        obj["answers"]["bounding-box-count"]["value"] = value
+        card = tmp_path / "cv.dcc.json"
+        card.write_text(json.dumps(obj))
+        proc = _run_subprocess("review", "new", str(card), "--reviewer", "Sam",
+                               "--role", "auditor")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: number value must be finite, got {value[:32]!r} "
+                               f"(block 'bounding-box-count')\n")
+        assert proc.stdout == ""
+
     def test_blank_review_fails_check(self, capsys, blank):
         code, _, err = _run(capsys, "review", "check", str(blank))
         assert code == 1

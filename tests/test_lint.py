@@ -1,14 +1,18 @@
 """Lint engine: rule catalog closure, uncertainty rules, conditionals,
 scope completeness, comparability."""
 
+import dataclasses
+import random
 import re
 from datetime import datetime, timezone
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from datacardkit.derivation import TemplateStore, derive
-from datacardkit.diagnostics import Severity
+from datacardkit.derivation import TemplateStore, ancestry, derive
+from datacardkit.diagnostics import DiagnosticCollector, Severity
+from datacardkit.errors import MissingParent
 from datacardkit.lint import (
     DEFAULT_CONFIG,
     DEFAULT_PSEUDO_NA,
@@ -25,6 +29,7 @@ from datacardkit.model import (
     Card,
     Choice,
     Gate,
+    Lineage,
     Row,
     Section,
     Suppression,
@@ -336,6 +341,106 @@ class TestComparability:
             CardUnderLint(self._card_for(parent, "card-2"), parent),
         ]
         assert lint_comparability(entries, store) == []
+
+
+def _pairwise_cmp001(entries, store):
+    """Reference CMP-001: every card pair compared directly, quadratic."""
+    out = DiagnosticCollector()
+    prepared = []
+    for entry in entries:
+        resolved = store.resolved(entry.template)
+        chain = ancestry(entry.template, store)
+        prepared.append((
+            entry.card,
+            chain[0].id,
+            {b.id for b in resolved.blocks()},
+            {s.block_id for t in chain[1:] for s in t.lineage.suppressions},
+        ))
+    for (card_a, root_a, ids_a, sup_a), (card_b, root_b, ids_b, sup_b) in combinations(prepared, 2):
+        if root_a != root_b:
+            continue
+        divergent = sorted((ids_a ^ ids_b) - (sup_a | sup_b))
+        if divergent:
+            out.add(
+                "CMP-001", Severity.WARNING, "~".join(sorted((card_a.id, card_b.id))),
+                f"cards share lineage root {root_a!r} but diverge on block(s): "
+                + ", ".join(divergent),
+                hint="comparisons over these blocks will be one-sided",
+            )
+    return out.sorted()
+
+
+def _section(sid, *blocks):
+    return Section(id=sid, title=sid, rows=(Row(id=f"{sid}-row", blocks=blocks),))
+
+
+class TestComparabilityMatchesPairwise:
+    """Grouped CMP-001 gives the pairwise loop's diagnostics, order included."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, canonical, corpus_store):
+        store = TemplateStore([canonical, corpus_store.get("cv-fairness-extended", 1)])
+        gated = {b.gate.source_block for b in canonical.blocks() if b.gate}
+        gated |= {b.id for b in canonical.blocks() if b.gate}
+        free = sorted(b.id for b in canonical.blocks() if b.id not in gated)
+        lite = derive(canonical, "fleet-lite", "Lite", store=store,
+                      suppressions=[Suppression(bid, "not collected") for bid in free[:3]])
+        plus = derive(canonical, "fleet-plus", "Plus", store=store,
+                      sections=[_section("plus", _block("plus-a"), _block("plus-b"))])
+        other = Template(id="other-root", version=1, title="Other",
+                         sections=(_section("o", _block("x"), _block("y")),))
+        for template in (lite, plus, other):
+            store.add(template)
+        other_lite = derive(other, "other-lite", "Other lite", store=store,
+                            suppressions=[Suppression("y", "unused")])
+        other_plus = derive(other, "other-plus", "Other plus", store=store,
+                            sections=[_section("z", _block("z"))])
+        store.add(other_lite)
+        store.add(other_plus)
+        # never added: resolved afresh through its stored parent
+        loose = derive(canonical, "loose", "Loose", store=store,
+                       suppressions=[Suppression(free[3], "not collected")],
+                       sections=[_section("loose", _block("loose-a"))])
+        templates = [canonical, store.get("cv-fairness-extended", 1), lite, plus,
+                     dataclasses.replace(lite), other, other_lite, other_plus, loose]
+        return store, templates
+
+    def _entries(self, rng, templates, n):
+        return [CardUnderLint(Card(id=f"card-{rng.randrange(n + 3)}", template_id="t",
+                                   template_version=1, dataset_title="D",
+                                   created=TS, updated=TS),
+                              rng.choice(templates))
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_fleet(self, fleet, seed):
+        store, templates = fleet
+        rng = random.Random(seed)
+        n = seed if seed < 3 else rng.randrange(3, 40)
+        entries = self._entries(rng, templates, n)
+        assert lint_comparability(entries, store) == _pairwise_cmp001(entries, store)
+
+    def test_fleet_has_ties_and_every_outcome(self, fleet):
+        store, templates = fleet
+        entries = self._entries(random.Random(7), templates, 60)
+        findings = lint_comparability(entries, store)
+        assert findings == _pairwise_cmp001(entries, store)
+        paths = [d.path for d in findings]
+        assert len(set(paths)) < len(paths)            # duplicate ids give ties
+        assert len({d.message for d in findings}) > 5
+        assert any("other-root" in d.message for d in findings)
+
+    def test_first_unresolvable_template_raises(self, fleet):
+        store, templates = fleet
+        ghosts = [Template(id=f"orphan-{name}", version=1, title="Orphan",
+                           lineage=Lineage(parent_id=name, parent_version=1))
+                  for name in ("ghost-a", "ghost-b")]
+        entries = [CardUnderLint(Card(id=f"c{i}", template_id="t", template_version=1,
+                                      dataset_title="D", created=TS, updated=TS), t)
+                   for i, t in enumerate([templates[0], ghosts[1], ghosts[0]])]
+        for implementation in (lint_comparability, _pairwise_cmp001):
+            with pytest.raises(MissingParent, match="ghost-b"):
+                implementation(entries, store)
 
 
 class TestCorpus:

@@ -1,5 +1,6 @@
 """Core schema: taxonomy closure, structural validation, gates."""
 
+import dataclasses
 from datetime import datetime, timezone
 
 import pytest
@@ -103,6 +104,54 @@ class TestTaxonomy:
         ranks = [s.rank for s in (ScopeLevel.TELESCOPE, ScopeLevel.PERISCOPE,
                                   ScopeLevel.MICROSCOPE)]
         assert ranks == sorted(ranks) and len(set(ranks)) == 3
+
+
+class TestBlockViewMemo:
+    """``block_map`` and ``block_paths`` are computed once per template object."""
+
+    def _two_sections(self):
+        second = Section(id="s2", title="S2", rows=(Row(id="r2", blocks=(
+            _block("b"), _block("a", scope=ScopeLevel.MICROSCOPE))),))
+        template = _template(_block("a"), _block("c"))
+        return dataclasses.replace(template, sections=template.sections + (second,))
+
+    @staticmethod
+    def _walked(template):
+        paths, blocks = {}, {}
+        for section, row, block in template.walk():
+            paths.setdefault(block.id, f"{section.id}/{row.id}/{block.id}")
+            blocks.setdefault(block.id, block)
+        return paths, blocks
+
+    def test_second_call_returns_the_same_object(self):
+        template = self._two_sections()
+        assert template.block_map() is template.block_map()
+        assert template.block_paths() is template.block_paths()
+
+    def test_equals_the_uncached_walk(self, canonical):
+        for template in (self._two_sections(), canonical):
+            paths, blocks = self._walked(template)
+            assert template.block_paths() == paths
+            assert template.block_map() == blocks
+            assert list(template.block_paths()) == list(paths)
+        assert self._two_sections().block_paths()["a"] == "s/r/a"
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        warm, cold = self._two_sections(), self._two_sections()
+        before = hash(warm)
+        warm.block_map()
+        warm.block_paths()
+        assert warm == cold and hash(warm) == before == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_replace_gives_a_fresh_memo(self):
+        template = self._two_sections()
+        memo = template.block_map()
+        trimmed = dataclasses.replace(template, sections=template.sections[:1])
+        assert trimmed.block_map() is not memo
+        assert set(trimmed.block_map()) == {"a", "c"}
+        assert trimmed.block_paths() == {"a": "s/r/a", "c": "s/r/c"}
+        assert set(template.block_map()) == {"a", "b", "c"}
 
 
 class TestStructuralValidation:

@@ -17,6 +17,7 @@ from datacardkit.serialization import (
     card_digest,
     card_obj,
     format_timestamp,
+    normalize_number,
     parse_card,
     parse_diagnostics,
     parse_template,
@@ -178,6 +179,26 @@ class TestBigIntegers:
         emitted = json.loads(serialize(cv_card))
         assert emitted["answers"]["bounding-box-count"]["value"] == 100000
 
+    def _with_count(self, cv_card, value):
+        obj = card_obj(cv_card)
+        obj["answers"]["bounding-box-count"]["value"] = value
+        return canonical_json_bytes(obj)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-Infinity", "1e400",
+                                       pytest.param("9" * 5000, id="5000-digits")])
+    def test_non_finite_numeric_string_is_refused(self, cv_card, cv_template, value):
+        with pytest.raises(BindError) as exc:
+            parse_card(self._with_count(cv_card, value), cv_template)
+        assert exc.value.block_id == "bounding-box-count"
+        assert str(exc.value) == (f"number value must be finite, got {value[:32]!r} "
+                                  f"(block 'bounding-box-count')")
+
+    @pytest.mark.parametrize("value", [pytest.param("9" * 400, id="400-digits"), "-2.5e300"])
+    def test_finite_numeric_string_still_binds(self, cv_card, cv_template, value):
+        card = parse_card(self._with_count(cv_card, value), cv_template)
+        assert card.answers["bounding-box-count"].value == normalize_number(value)
+        assert parse_card(serialize(card), cv_template) == card
+
     def test_number_answer_round_trips_structurally(self, rng):
         # a card whose number answers exceed 2**53 must reparse to ints
         for _ in range(40):
@@ -202,6 +223,13 @@ class TestTimestamps:
 
     def test_round_trip_with_fraction(self):
         ts = datetime(2022, 4, 11, 9, 30, 0, 250000, tzinfo=timezone.utc)
+        assert parse_timestamp(format_timestamp(ts)) == ts
+
+    @pytest.mark.parametrize("raw", ["0999-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+                                     "0042-06-30T12:00:00.000001Z"])
+    def test_year_below_1000_round_trips(self, raw):
+        ts = parse_timestamp(raw)
+        assert format_timestamp(ts) == raw
         assert parse_timestamp(format_timestamp(ts)) == ts
 
 
