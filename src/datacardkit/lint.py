@@ -1,9 +1,8 @@
 """Validation engine: scope completeness, conditionals, structured
 uncertainty, lifecycle coverage, automation policy, and comparability.
 
-Severities: errors make a document unacceptable, warnings flag incomplete or
-suspicious content, info marks findings needing no action. Output is
-deterministic: diagnostics sort by (path, rule id).
+Each rule's severity comes from ``diagnostics.RULE_SEVERITY``, the catalog of
+docs/rules.md. Output is deterministic: diagnostics sort by (path, rule id).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .derivation import TemplateStore, ancestry
-from .diagnostics import Diagnostic, DiagnosticCollector, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, DiagnosticCollector, sort_diagnostics
 from .model import Card, Template, gate_satisfied, validate_structural
 from .taxonomy import (
     AnswerKind,
@@ -75,7 +74,7 @@ def _check_scope_completeness(template: Template, out: DiagnosticCollector) -> N
                    if level not in scopes_by_theme[theme]]
         if missing:
             out.add(
-                "SCOPE-001", Severity.ERROR, first_path[theme],
+                "SCOPE-001", first_path[theme],
                 f"theme {theme!r} lacks {', '.join(missing)} coverage; each theme "
                 f"needs at least one block per scope level",
                 hint="add blocks at the missing scope levels or suppress the whole theme",
@@ -93,7 +92,7 @@ def _check_stage_coverage(template: Template, out: DiagnosticCollector) -> None:
     for stage in OftenStage:
         if stage not in covered:
             out.add(
-                "OFTEN-001", Severity.WARNING, "/",
+                "OFTEN-001", "/",
                 f"no block's theme maps to the {stage.value!r} lifecycle stage",
                 hint="add a themed block covering this stage or record why it is out of scope",
             )
@@ -106,7 +105,7 @@ def _check_automation_policy(template: Template, out: DiagnosticCollector) -> No
         if (block.scope is ScopeLevel.MICROSCOPE
                 and block.automation_policy is AutomationPolicy.AUTOMATABLE):
             out.add(
-                "AUTO-001", Severity.WARNING, paths[block.id],
+                "AUTO-001", paths[block.id],
                 "microscope block marked automatable; rationale-bearing answers "
                 "need human judgment",
                 hint="set automation_policy to manual-only",
@@ -129,29 +128,29 @@ def lint_card(card: Card, template: Template,
         status = answer.status
 
         if status is AnswerStatus.PENDING:
-            out.add("PEND-001", Severity.WARNING, path,
+            out.add("PEND-001", path,
                     "block is pending; the card is incomplete")
         if status is AnswerStatus.ANSWERED:
             _check_pseudo_na(block, answer.value, path, config, out)
         if status in (AnswerStatus.UNKNOWN, AnswerStatus.WITHHELD):
             if not (answer.rationale or "").strip():
-                out.add("STAT-002", Severity.ERROR, path,
+                out.add("STAT-002", path,
                         f"status {status.value!r} requires a non-empty rationale")
 
         if block.gate is not None:
             satisfied = gate_satisfied(block.gate, card)
             if satisfied and status is AnswerStatus.PENDING:
-                out.add("COND-001", Severity.ERROR, path,
+                out.add("COND-001", path,
                         f"gate on {block.gate.source_block!r} is satisfied but the "
                         f"dependent block is pending",
                         hint="answer the block or record a structured status")
             elif not satisfied and status is AnswerStatus.ANSWERED:
-                out.add("COND-002", Severity.WARNING, path,
+                out.add("COND-002", path,
                         f"gate on {block.gate.source_block!r} is not satisfied but the "
                         f"dependent block is answered")
             elif (not satisfied and status is AnswerStatus.NOT_APPLICABLE
                     and not (answer.rationale or "").strip()):
-                out.add("COND-003", Severity.INFO, path,
+                out.add("COND-003", path,
                         "not-applicable is auto-justified by the unsatisfied gate; "
                         "no action needed")
     return out.sorted()
@@ -182,7 +181,7 @@ def _check_pseudo_na(block, value, path: str, config: LintConfig,
     for text in _pseudo_na_texts(block.answer_spec.kind, value):
         if text.strip().lower() in config.pseudo_na:
             out.add(
-                "STAT-001", Severity.ERROR, path,
+                "STAT-001", path,
                 f"answered value {text.strip()!r} is a placeholder, not an answer",
                 hint="use status unknown, withheld, or not-applicable with a rationale",
             )
@@ -257,8 +256,7 @@ def lint_comparability(entries: list[CardUnderLint],
         partners.sort()
         card_id = entries[a].card.id
         for b, message in partners:
-            out.add("CMP-001", Severity.WARNING,
-                    "~".join(sorted((card_id, entries[b].card.id))), message,
+            out.add("CMP-001", "~".join(sorted((card_id, entries[b].card.id))), message,
                     hint="comparisons over these blocks will be one-sided")
     return out.sorted()
 

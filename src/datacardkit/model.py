@@ -14,7 +14,7 @@ from datetime import datetime
 from functools import cached_property
 from typing import Any, Iterator
 
-from .diagnostics import Diagnostic, DiagnosticCollector, Severity
+from .diagnostics import Diagnostic, DiagnosticCollector
 from .errors import BindError
 from .taxonomy import (
     CANONICAL_THEME_PREFIX,
@@ -395,30 +395,30 @@ def validate_structural(template: Template) -> list[Diagnostic]:
 
 def _check_ids_and_slugs(template: Template, out: DiagnosticCollector) -> None:
     if not is_slug(template.id):
-        out.add("STRUCT-006", Severity.ERROR, "", f"template id {template.id!r} is not a valid slug")
+        out.add("STRUCT-006", "", f"template id {template.id!r} is not a valid slug")
     seen_sections: set[str] = set()
     seen_blocks: dict[str, str] = {}
     for section in template.sections:
         if not is_slug(section.id):
-            out.add("STRUCT-006", Severity.ERROR, section.id, f"section id {section.id!r} is not a valid slug")
+            out.add("STRUCT-006", section.id, f"section id {section.id!r} is not a valid slug")
         if section.id in seen_sections:
-            out.add("STRUCT-001", Severity.ERROR, section.id, f"duplicate section id {section.id!r}")
+            out.add("STRUCT-001", section.id, f"duplicate section id {section.id!r}")
         seen_sections.add(section.id)
         seen_rows: set[str] = set()
         for row in section.rows:
             row_path = f"{section.id}/{row.id}"
             if not is_slug(row.id):
-                out.add("STRUCT-006", Severity.ERROR, row_path, f"row id {row.id!r} is not a valid slug")
+                out.add("STRUCT-006", row_path, f"row id {row.id!r} is not a valid slug")
             if row.id in seen_rows:
-                out.add("STRUCT-001", Severity.ERROR, row_path, f"duplicate row id {row.id!r} in section {section.id!r}")
+                out.add("STRUCT-001", row_path, f"duplicate row id {row.id!r} in section {section.id!r}")
             seen_rows.add(row.id)
             for block in row.blocks:
                 path = f"{row_path}/{block.id}"
                 if not is_slug(block.id):
-                    out.add("STRUCT-006", Severity.ERROR, path, f"block id {block.id!r} is not a valid slug")
+                    out.add("STRUCT-006", path, f"block id {block.id!r} is not a valid slug")
                 if block.id in seen_blocks:
                     out.add(
-                        "STRUCT-001", Severity.ERROR, path,
+                        "STRUCT-001", path,
                         f"duplicate block id {block.id!r} (first declared at {seen_blocks[block.id]})",
                         hint="block ids must be unique across the whole template",
                     )
@@ -432,12 +432,12 @@ def _check_rows(template: Template, out: DiagnosticCollector) -> None:
             path = f"{section.id}/{row.id}"
             n = len(row.blocks)
             if n == 0 or n > MAX_BLOCKS_PER_ROW:
-                out.add("STRUCT-004", Severity.ERROR, path,
+                out.add("STRUCT-004", path,
                         f"row has {n} blocks; rows carry 1 to {MAX_BLOCKS_PER_ROW}")
             ranks = [block.scope.rank for block in row.blocks]
             if any(a > b for a, b in zip(ranks, ranks[1:])):
                 order = " -> ".join(block.scope.value for block in row.blocks)
-                out.add("STRUCT-002", Severity.ERROR, path,
+                out.add("STRUCT-002", path,
                         f"scope levels must be non-decreasing within a row, got {order}",
                         hint="order blocks telescope, then periscope, then microscope")
 
@@ -446,21 +446,21 @@ def _check_themes(template: Template, out: DiagnosticCollector) -> None:
     declared: dict[str, CustomTheme] = {}
     for custom in template.custom_themes:
         if custom.slug in CANONICAL_THEMES:
-            out.add("STRUCT-005", Severity.ERROR, "",
+            out.add("STRUCT-005", "",
                     f"custom theme {custom.slug!r} redeclares a canonical theme")
             continue
         if custom.slug.startswith(CANONICAL_THEME_PREFIX) or not is_slug(custom.slug):
-            out.add("STRUCT-005", Severity.ERROR, "",
+            out.add("STRUCT-005", "",
                     f"custom theme slug {custom.slug!r} is invalid; plain slugs outside the "
                     f"{CANONICAL_THEME_PREFIX}* namespace are required")
             continue
         if custom.slug in declared:
-            out.add("STRUCT-001", Severity.ERROR, "", f"duplicate custom theme {custom.slug!r}")
+            out.add("STRUCT-001", "", f"duplicate custom theme {custom.slug!r}")
         declared[custom.slug] = custom
     known = set(CANONICAL_THEMES) | set(declared)
     for section, row, block in template.walk():
         if block.theme not in known:
-            out.add("STRUCT-005", Severity.ERROR, f"{section.id}/{row.id}/{block.id}",
+            out.add("STRUCT-005", f"{section.id}/{row.id}/{block.id}",
                     f"theme {block.theme!r} is neither canonical nor declared by this template",
                     hint="declare it in custom_themes with a lifecycle stage")
 
@@ -471,21 +471,21 @@ def _check_answer_specs(template: Template, out: DiagnosticCollector) -> None:
         spec = block.answer_spec
         is_choice = spec.kind in CHOICE_KINDS
         if is_choice and not spec.choices:
-            out.add("STRUCT-007", Severity.ERROR, path, f"{spec.kind.value} block declares no choices")
+            out.add("STRUCT-007", path, f"{spec.kind.value} block declares no choices")
         if not is_choice and spec.choices:
-            out.add("STRUCT-007", Severity.ERROR, path, f"{spec.kind.value} block must not declare choices")
+            out.add("STRUCT-007", path, f"{spec.kind.value} block must not declare choices")
         if spec.kind is AnswerKind.TABLE and not spec.columns:
-            out.add("STRUCT-007", Severity.ERROR, path, "table block declares no columns")
+            out.add("STRUCT-007", path, "table block declares no columns")
         if spec.kind is not AnswerKind.TABLE and spec.columns:
-            out.add("STRUCT-007", Severity.ERROR, path, f"{spec.kind.value} block must not declare columns")
+            out.add("STRUCT-007", path, f"{spec.kind.value} block must not declare columns")
         if spec.units is not None and spec.kind is not AnswerKind.NUMBER:
-            out.add("STRUCT-007", Severity.ERROR, path, f"{spec.kind.value} block must not declare units")
+            out.add("STRUCT-007", path, f"{spec.kind.value} block must not declare units")
         values = [c.value for c in spec.choices]
         if len(values) != len(set(values)):
-            out.add("STRUCT-007", Severity.ERROR, path, "choice value slugs must be unique")
+            out.add("STRUCT-007", path, "choice value slugs must be unique")
         for choice in spec.choices:
             if not is_slug(choice.value):
-                out.add("STRUCT-006", Severity.ERROR, path,
+                out.add("STRUCT-006", path,
                         f"choice value {choice.value!r} is not a valid slug")
 
 
@@ -498,32 +498,32 @@ def _check_gates(template: Template, out: DiagnosticCollector) -> None:
         path = f"{section.id}/{row.id}/{block.id}"
         source = blocks.get(gate.source_block)
         if source is None:
-            out.add("STRUCT-003", Severity.ERROR, path,
+            out.add("STRUCT-003", path,
                     f"gate references missing block {gate.source_block!r}")
             continue
         if source.scope is not ScopeLevel.TELESCOPE:
-            out.add("STRUCT-003", Severity.ERROR, path,
+            out.add("STRUCT-003", path,
                     f"gate source {source.id!r} is a {source.scope.value}; only telescopes may be gate targets")
             continue
         if source.answer_spec.kind not in CHOICE_KINDS:
-            out.add("STRUCT-003", Severity.ERROR, path,
+            out.add("STRUCT-003", path,
                     f"gate source {source.id!r} is {source.answer_spec.kind.value}; "
                     "only choice blocks may be gate targets")
             continue
         if gate.predicate not in GATE_PREDICATES:
-            out.add("STRUCT-003", Severity.ERROR, path, f"unknown gate predicate {gate.predicate!r}")
+            out.add("STRUCT-003", path, f"unknown gate predicate {gate.predicate!r}")
             continue
         if gate.predicate == "answered":
             if gate.value is not None:
-                out.add("STRUCT-003", Severity.ERROR, path, "'answered' predicate takes no value")
+                out.add("STRUCT-003", path, "'answered' predicate takes no value")
             continue
         if gate.predicate == "equals" and source.answer_spec.kind is not AnswerKind.SINGLE_CHOICE:
-            out.add("STRUCT-003", Severity.ERROR, path, "'equals' applies to single-choice sources only")
+            out.add("STRUCT-003", path, "'equals' applies to single-choice sources only")
             continue
         if gate.predicate == "includes" and source.answer_spec.kind is not AnswerKind.MULTI_CHOICE:
-            out.add("STRUCT-003", Severity.ERROR, path, "'includes' applies to multi-choice sources only")
+            out.add("STRUCT-003", path, "'includes' applies to multi-choice sources only")
             continue
         if gate.value not in source.answer_spec.choice_values():
-            out.add("STRUCT-003", Severity.ERROR, path,
+            out.add("STRUCT-003", path,
                     f"gate value {gate.value!r} is not a declared choice of {source.id!r}")
 

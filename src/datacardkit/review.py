@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
-from .diagnostics import Diagnostic, DiagnosticCollector, Severity
+from .diagnostics import Diagnostic, DiagnosticCollector
 from .errors import InvalidReview, MixedCardDigest, ParseError
 from .serialization import (
     FORMAT_VERSION,
@@ -175,18 +175,18 @@ def validate_review(record: ReviewRecord) -> list[Diagnostic]:
     for dim in Dimension:
         entry = record.entries.get(dim.value)
         if entry is None:
-            out.add("REV-001", Severity.ERROR, dim.value,
+            out.add("REV-001", dim.value,
                     f"dimension {dim.value!r} is missing from the review")
             continue
         if entry.rating not in RATING_LABELS:
-            out.add("REV-004", Severity.ERROR, dim.value,
+            out.add("REV-004", dim.value,
                     f"unknown rating label {entry.rating!r}",
                     hint="use one of: poor, borderline, average, good, outstanding")
         if not entry.evidence.strip():
-            out.add("REV-002", Severity.ERROR, dim.value,
+            out.add("REV-002", dim.value,
                     "rating lacks supporting evidence")
         if not entry.next_steps.strip():
-            out.add("REV-003", Severity.ERROR, dim.value,
+            out.add("REV-003", dim.value,
                     "review lacks concrete next steps")
     return out.sorted()
 

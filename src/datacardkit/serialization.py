@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Any
 
 from .errors import BindError, DecodeError, ParseError
@@ -51,6 +51,9 @@ from .taxonomy import (
 
 FORMAT_VERSION = 1
 MAX_DOCUMENT_BYTES = 50 * 1024 * 1024
+# Containers nested deeper than this are refused at decode; the recursive
+# emitter and binders stay far inside Python's recursion limit.
+MAX_DEPTH = 128
 
 TEMPLATE_EXTENSION = ".dct.json"
 CARD_EXTENSION = ".dcc.json"
@@ -160,20 +163,30 @@ def format_timestamp(ts: datetime) -> str:
     return base + "Z"
 
 
-def parse_timestamp(raw: str) -> datetime:
-    """RFC 3339 with a mandatory offset, normalized to UTC.
+# RFC 3339 section 5.6 date-time, with at most microsecond precision so that
+# nothing is dropped; T and Z may be lowercase. Field ranges are checked by
+# ``datetime`` itself.
+_RFC3339 = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt]([0-9]{2}):([0-9]{2}):([0-9]{2})"
+    r"(?:\.([0-9]{1,6}))?(?:[Zz]|([+-])([01][0-9]|2[0-3]):([0-5][0-9]))"
+)
 
-    ``fromisoformat`` on this Python does not accept the ``Z`` suffix, so it
-    is rewritten to ``+00:00`` first.
-    """
-    text = raw.replace("Z", "+00:00").replace("z", "+00:00")
-    try:
-        ts = datetime.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"{raw!r} is not an RFC 3339 timestamp") from None
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {raw!r} must carry a UTC offset")
-    return ts.astimezone(timezone.utc)
+
+def parse_timestamp(raw: str) -> datetime:
+    """RFC 3339 with a mandatory offset, normalized to UTC."""
+    match = _RFC3339.fullmatch(raw)
+    if match is not None:
+        *fields, fraction, sign, offset_hours, offset_minutes = match.groups()
+        offset = timedelta(0)
+        if sign:
+            offset = timedelta(hours=int(offset_hours), minutes=int(offset_minutes))
+        try:
+            ts = datetime(*map(int, fields), int((fraction or "0").ljust(6, "0")),
+                          tzinfo=timezone(-offset if sign == "-" else offset))
+            return ts.astimezone(timezone.utc)
+        except (ValueError, OverflowError):
+            pass  # a field out of range, or a UTC instant outside years 1-9999
+    raise ValueError(f"{raw!r} is not an RFC 3339 timestamp")
 
 
 def _choice_obj(choice: Choice) -> dict:
@@ -427,8 +440,57 @@ def _type_name(value: Any) -> str:
             list: "array", dict: "object"}.get(type(value), type(value).__name__)
 
 
+def _refuse_constant(literal: str) -> float:
+    raise DecodeError(f"invalid JSON: non-finite number {literal}")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise DecodeError(f"invalid JSON: number {literal[:32]} is out of range")
+    return value
+
+
+# A \u escape of a UTF-16 surrogate. Only such an escape can put a lone
+# surrogate in a decoded string; a paired one decodes to a single character.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _nested_deeper_than(obj: Any, limit: int) -> bool:
+    level = [obj]
+    for _ in range(limit):
+        level = [child for node in level
+                 for child in (node.values() if type(node) is dict else node)
+                 if type(child) is dict or type(child) is list]
+        if not level:
+            return False
+    return True
+
+
+def _lone_surrogate(obj: Any) -> str | None:
+    """The first lone surrogate in any key or string of a decoded tree."""
+    stack = [obj]
+    while stack:
+        node = stack.pop()
+        if type(node) is dict:
+            stack.extend(node)
+            stack.extend(node.values())
+        elif type(node) is list:
+            stack.extend(node)
+        elif type(node) is str:
+            found = _SURROGATE.search(node)
+            if found:
+                return found.group()
+    return None
+
+
 def _load_document(data: bytes, expected_kind: str) -> dict:
-    """The one JSON decoder: every failure to decode is a :class:`DecodeError`."""
+    """The one JSON decoder: every failure to decode is a :class:`DecodeError`.
+
+    Besides JSON syntax it refuses what the canonical form cannot write back:
+    non-finite numbers, lone surrogates, and nesting over ``MAX_DEPTH``.
+    """
     if len(data) > MAX_DOCUMENT_BYTES:
         raise DecodeError(
             f"document is {len(data)} bytes; the limit is {MAX_DOCUMENT_BYTES} (50 MiB)"
@@ -438,7 +500,9 @@ def _load_document(data: bytes, expected_kind: str) -> dict:
     except UnicodeDecodeError as exc:
         raise DecodeError(f"document is not valid UTF-8: {exc}") from None
     try:
-        obj = json.loads(text)
+        # NaN, Infinity and literals that overflow a double would decode to
+        # floats that the canonical form cannot write
+        obj = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         # some decoder messages end in " at", meant to precede a position
         raise DecodeError(f"invalid JSON: {exc.msg.removesuffix(' at')}",
@@ -453,6 +517,12 @@ def _load_document(data: bytes, expected_kind: str) -> dict:
         ) from None
     if not isinstance(obj, dict):
         raise DecodeError(f"document root must be an object, got {_type_name(obj)}", path="/")
+    if _nested_deeper_than(obj, MAX_DEPTH):
+        raise DecodeError("document is nested too deeply")
+    if _SURROGATE_ESCAPE.search(text):
+        surrogate = _lone_surrogate(obj)
+        if surrogate:
+            raise DecodeError(f"invalid JSON: lone surrogate \\u{ord(surrogate):04x} in a string")
     kind = obj.get("kind")
     if kind is not None and kind != expected_kind:
         raise DecodeError(f"expected kind {expected_kind!r}, got {kind!r}", path="/kind")

@@ -113,6 +113,66 @@ class TestUndecodableInputs:
                              "document is nested too deeply")
 
 
+# The commands that load one card; "{}" stands for the card's path.
+CARD_COMMANDS = [("lint", "{}"), ("render", "{}"),
+                 ("review", "new", "{}", "--reviewer", "Sam", "--role", "auditor")]
+
+
+def _run_on_card(capsys, command, card):
+    return _run(capsys, *(arg.format(card) for arg in command))
+
+
+def _edited_card(tmp_path, old, new):
+    """A copy of the translation card with the first ``old`` replaced by ``new``."""
+    with open(TRANSLATION_CARD) as fh:
+        text = fh.read()
+    assert old in text
+    card = tmp_path / "bad.dcc.json"
+    card.write_text(text.replace(old, new, 1))
+    return card
+
+
+class TestRefusedAtDecode:
+    """Numbers and strings the canonical form cannot write back are refused
+    when a card is decoded: exit 2 from every card command, a skip in index."""
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ('"value": 8000', '"value": NaN', "non-finite number NaN"),
+        ('"value": 8000', '"value": Infinity', "non-finite number Infinity"),
+        ('"value": 8000', '"value": -Infinity', "non-finite number -Infinity"),
+        ('"value": 8000', '"value": 1e400', "number 1e400 is out of range"),
+        ('"Label disputes', '"\\ud800Label disputes', "lone surrogate \\ud800 in a string"),
+    ])
+    def test_refused_by_every_card_command(self, capsys, tmp_path, old, new, reason):
+        card = _edited_card(tmp_path, old, new)
+        for command in CARD_COMMANDS:
+            assert _run_on_card(capsys, command, card) == (
+                2, "", f"error: {card} is not a card document (invalid JSON: {reason})\n")
+        code, _, err = _run(capsys, "index", str(tmp_path))
+        assert code == 0
+        assert err == f"skipped bad.dcc.json: invalid JSON: {reason}\n"
+
+    def test_lone_surrogate_render_in_a_fresh_interpreter(self, tmp_path):
+        card = _edited_card(tmp_path, '"Label disputes', '"\\udfffLabel disputes')
+        proc = _run_subprocess("render", str(card))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {card} is not a card document "
+                               "(invalid JSON: lone surrogate \\udfff in a string)\n")
+
+    @pytest.mark.parametrize("stamp", [
+        "20211102T140000Z", "2021-W44-2T14:00:00Z", "2021-11-02 14:00:00Z",
+        "2021-11-02T14:00Z", "2021-11-02T14:00:00+0000", "2021-11-02T14:00:00.123456789Z",
+        "0001-01-01T00:00:00+01:00",  # before year 1 in UTC: was an OverflowError
+    ])
+    def test_non_rfc3339_timestamp_refused_by_every_card_command(self, capsys, tmp_path,
+                                                                 stamp):
+        card = _edited_card(tmp_path, '"created": "2021-11-02T14:00:00Z"',
+                            f'"created": "{stamp}"')
+        for command in CARD_COMMANDS:
+            assert _run_on_card(capsys, command, card) == (
+                2, "", f"error: {stamp!r} is not an RFC 3339 timestamp at /created\n")
+
+
 class TestNew:
     def test_blank_card_on_canonical(self, capsys):
         code, out, _ = _run(capsys, "new", "data-card-canonical",

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from datacardkit.derivation import TemplateStore, ancestry, derive
-from datacardkit.diagnostics import DiagnosticCollector, Severity
+from datacardkit.diagnostics import RULE_SEVERITY, DiagnosticCollector, Severity
 from datacardkit.errors import MissingParent
 from datacardkit.lint import (
     DEFAULT_CONFIG,
@@ -44,7 +44,9 @@ from datacardkit.taxonomy import (
 
 TS = datetime(2022, 1, 1, tzinfo=timezone.utc)
 PKG_ROOT = Path(__file__).resolve().parent.parent / "src" / "datacardkit"
-RULE_PATTERN = re.compile(r"\b((?:STRUCT|SCOPE|OFTEN|AUTO|STAT|COND|PEND|CMP|REV)-\d{3})\b")
+# a rule row of a table in docs/rules.md: "| RULE-NNN | severity | meaning |"
+DOC_ROW_PATTERN = re.compile(r"\| ([A-Z]+-\d{3}) \| (\w+) \|")
+ADD_SITE_PATTERN = re.compile(r'add\(\s*"([A-Z]+-\d{3})"')
 
 
 def _block(bid, scope=ScopeLevel.TELESCOPE, kind=AnswerKind.SHORT_TEXT, **kw):
@@ -80,16 +82,27 @@ def _rules(diags):
 
 
 class TestCatalogClosure:
-    def test_code_and_docs_agree_on_rule_ids(self):
+    def test_docs_table_equals_rule_severity(self):
+        rules_md = PKG_ROOT.parent.parent / "docs" / "rules.md"
+        documented = [
+            (match[1], match[2])
+            for match in map(DOC_ROW_PATTERN.match, rules_md.read_text().splitlines())
+            if match
+        ]
+        assert sorted(documented) == sorted(
+            (rule, severity.value) for rule, severity in RULE_SEVERITY.items()
+        )
+
+    def test_call_sites_emit_exactly_the_table(self):
         emitted = set()
         for source in PKG_ROOT.glob("*.py"):
-            emitted |= set(RULE_PATTERN.findall(source.read_text()))
-        documented = set()
-        rules_md = PKG_ROOT.parent.parent / "docs" / "rules.md"
-        for line in rules_md.read_text().splitlines():
-            if line.startswith("| "):
-                documented |= set(RULE_PATTERN.findall(line))
-        assert emitted == documented
+            if source.name != "diagnostics.py":
+                emitted |= set(ADD_SITE_PATTERN.findall(source.read_text()))
+        assert emitted == set(RULE_SEVERITY)
+
+    def test_undocumented_rule_id_raises(self):
+        with pytest.raises(KeyError):
+            DiagnosticCollector().add("STRUCT-999", "", "no such rule")
 
     def test_diagnostics_sorted_by_path_then_rule(self):
         template = _template(
@@ -362,7 +375,7 @@ def _pairwise_cmp001(entries, store):
         divergent = sorted((ids_a ^ ids_b) - (sup_a | sup_b))
         if divergent:
             out.add(
-                "CMP-001", Severity.WARNING, "~".join(sorted((card_a.id, card_b.id))),
+                "CMP-001", "~".join(sorted((card_a.id, card_b.id))),
                 f"cards share lineage root {root_a!r} but diverge on block(s): "
                 + ", ".join(divergent),
                 hint="comparisons over these blocks will be one-sided",

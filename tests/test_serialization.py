@@ -7,12 +7,18 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+try:
+    from rfc3339_validator import validate_rfc3339
+except ImportError:  # the oracle for one test; listed in the test extras
+    validate_rfc3339 = None
 
-from datacardkit.errors import BindError, ParseError
+from datacardkit.errors import BindError, DecodeError, ParseError
 from datacardkit.model import Answer, Card, Provenance
 from datacardkit.serialization import (
+    MAX_DEPTH,
     MAX_DOCUMENT_BYTES,
     MAX_LOSSLESS_INT,
+    _load_document,
     canonical_json_bytes,
     card_digest,
     card_obj,
@@ -232,6 +238,73 @@ class TestTimestamps:
         assert format_timestamp(ts) == raw
         assert parse_timestamp(format_timestamp(ts)) == ts
 
+    @pytest.mark.parametrize("raw,expected", [
+        ("2020-01-01t00:00:00z", datetime(2020, 1, 1, tzinfo=timezone.utc)),
+        ("2020-01-01T00:00:00.1Z", datetime(2020, 1, 1, 0, 0, 0, 100000, tzinfo=timezone.utc)),
+        ("2020-01-01T05:30:00+05:30", datetime(2020, 1, 1, tzinfo=timezone.utc)),
+        ("2019-12-31T23:00:00-01:00", datetime(2020, 1, 1, tzinfo=timezone.utc)),
+        ("2020-01-01T00:00:00-00:00", datetime(2020, 1, 1, tzinfo=timezone.utc)),
+    ])
+    def test_rfc3339_forms_accepted(self, raw, expected):
+        assert parse_timestamp(raw) == expected
+
+    @pytest.mark.parametrize("raw", [
+        "20200101T000000Z",                  # basic format
+        "2020-W01-1T00:00:00Z",              # week date
+        "2020-001T00:00:00Z",                # ordinal date
+        "2020-01-01 00:00:00Z",              # space separator
+        "2020-01-01T00:00Z",                 # no seconds
+        "2020-01-01T00:00:00+0000",          # offset without a colon
+        "2020-01-01T00:00:00+00",            # offset without minutes
+        "2020-01-01T00:00:00.123456789Z",    # fraction finer than microseconds
+        "2020-01-01T00:00:00.0000000Z",      # even when the extra digits are zero
+        "2020-01-01T00:00:00.Z",             # empty fraction
+        "2020-01-01T00:00:00,5Z",            # comma fraction
+        "2020-01-01T00:00:00",               # no offset
+        "2020-01-01T00:00:00Z\n",            # trailing newline
+        " 2020-01-01T00:00:00Z",             # leading space
+        "2020-1-01T00:00:00Z",               # one-digit month
+        "\u0662\u0660\u0662\u0660-01-01T00:00:00Z",  # non-ASCII digits
+        "2020-01-01T00:00:00+24:00",         # offset hour out of range
+        "2020-01-01T00:00:00+00:60",         # offset minute out of range
+        "2020-02-30T00:00:00Z",              # no such day
+        "2020-01-01T00:00:60Z",              # leap second: not representable
+        "0001-01-01T00:00:00+01:00",         # before year 1 in UTC
+        "9999-12-31T23:59:59-01:00",         # after year 9999 in UTC
+    ])
+    def test_non_rfc3339_forms_refused(self, raw):
+        with pytest.raises(ValueError, match="is not an RFC 3339 timestamp"):
+            parse_timestamp(raw)
+
+    @pytest.mark.skipif(validate_rfc3339 is None, reason="rfc3339-validator is not installed")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.tuples(
+        st.sampled_from(["0999", "2020", "9998", "202", "20200", "0000"]),
+        st.sampled_from(["-", "", "/"]),
+        st.sampled_from(["01", "02", "12", "13", "00", "1"]),
+        st.sampled_from(["-01", "-29", "-30", "-31", "-32", "01", ""]),
+        st.sampled_from(["T", " ", ""]),
+        st.sampled_from(["00", "23", "24", "7"]),
+        st.sampled_from([":00", ":59", ":60", "00"]),
+        st.sampled_from([":00", ":59", ":60", ""]),
+        st.sampled_from(["", ".1", ".123456", ".1234567", "."]),
+        st.sampled_from(["Z", "+00:00", "-23:59", "+24:00", "+0000", "+00:60", "", "+05"]),
+    ))
+    def test_agrees_with_rfc3339_validator(self, parts):
+        # The oracle accepts any number of fraction digits; this parser stops
+        # at microseconds rather than drop digits. Lowercase t and z, which
+        # the oracle refuses, are covered above.
+        raw = "".join(parts)
+        fraction = parts[8]
+        expected = validate_rfc3339(raw) and len(fraction) <= 7
+        try:
+            parse_timestamp(raw)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected, raw
+
 
 class TestStrictness:
     def test_unknown_top_level_field_rejected(self, canonical):
@@ -445,3 +518,98 @@ class TestAnswerRejections:
         answer = self._parse(translation_card, canonical, raw).answers["publishers"]
         assert answer == Answer(status=AnswerStatus.ANSWERED, value="Acme",
                                 rationale=raw.get("rationale"), provenance=provenance)
+
+
+def _decode(text):
+    return _load_document(text.encode("utf-8"), "card")
+
+
+class TestDecodeGate:
+    """What the decoder refuses: numbers and strings the canonical form cannot
+    write, and nesting deeper than ``MAX_DEPTH``."""
+
+    @pytest.mark.parametrize("literal,message", [
+        ("NaN", "non-finite number NaN"),
+        ("Infinity", "non-finite number Infinity"),
+        ("-Infinity", "non-finite number -Infinity"),
+        ("1e400", "number 1e400 is out of range"),
+        ("-1.5E+999", "number -1.5E+999 is out of range"),
+        ("1" * 400 + ".0", f"number {'1' * 32} is out of range"),
+    ])
+    def test_non_finite_numbers_refused(self, literal, message):
+        with pytest.raises(DecodeError) as exc:
+            _decode('{"a": [1, ' + literal + "]}")
+        assert str(exc.value) == f"invalid JSON: {message}"
+
+    @pytest.mark.parametrize("text,kind", [
+        ("null", "null"), ("5", "number"), ("true", "boolean"), ("0.5", "number"),
+        ("1" * 4300, "number"), ('"\\ud800"', "string"), ("[[[]]]", "array"),
+    ], ids=["null", "int", "bool", "float", "4300-digits", "surrogate-string", "array"])
+    def test_scalar_or_array_root_refused(self, text, kind):
+        with pytest.raises(DecodeError) as exc:
+            _decode(text)
+        assert str(exc.value) == f"document root must be an object, got {kind} at /"
+
+    @pytest.mark.parametrize("text,char", [
+        (r'{"a": "\ud800"}', "d800"),
+        (r'{"a": "x\uDC00y"}', "dc00"),
+        (r'{"a": "\ud83dA"}', "d83d"),
+        (r'{"a": "\ude00\ud83d"}', "de00"),
+        (r'{"\udbff": 1}', "dbff"),
+        (r'{"a": {"b": ["ok", "\ud83d\ude00", "\udfff"]}}', "dfff"),
+    ])
+    def test_lone_surrogate_escapes_refused(self, text, char):
+        with pytest.raises(DecodeError) as exc:
+            _decode(text)
+        assert str(exc.value) == f"invalid JSON: lone surrogate \\u{char} in a string"
+
+    @pytest.mark.parametrize("text,value", [
+        (r'{"a": "\ud83d\ude00"}', "\U0001F600"),
+        (r'{"a": "\ud83d\ude00\udbff\udfff"}', "\U0001F600\U0010FFFF"),
+        (r'{"a": "\\ud800"}', "\\ud800"),
+        (r'{"a": "\u00e9\ud7ff"}', "\u00e9\ud7ff"),
+    ])
+    def test_paired_and_escaped_text_accepted(self, text, value):
+        assert _decode(text) == {"a": value}
+
+    def test_byte_order_mark_keeps_its_message(self):
+        with pytest.raises(DecodeError) as exc:
+            _load_document(b'\xef\xbb\xbf{"a": 1}', "card")
+        assert str(exc.value) == ("invalid JSON: Unexpected UTF-8 BOM (decode using "
+                                  "utf-8-sig) at line 1, column 1")
+
+    def test_nesting_limit(self):
+        def nested(depth):
+            return '{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+        assert _decode(nested(MAX_DEPTH))
+        for depth in (MAX_DEPTH + 1, 600, 990, 5000):
+            with pytest.raises(DecodeError, match="^document is nested too deeply$"):
+                _decode(nested(depth))
+
+    _json_texts = st.recursive(
+        st.sampled_from([
+            "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "0.5", "-0",
+            "1" * 4300, "1" * 4301, "-" + "9" * 4301, '"\\ud800"', '"\\udc00x"',
+            '"\\ud83d\\ude00"', '"\\\\ud800"', '"\\ud83d\\u0041"', '"a"', "true", "null",
+        ]),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
+            st.lists(st.tuples(st.sampled_from(['"k"', '"\\udfff"', '"\\ud83d\\ude00"']),
+                               children), max_size=3)
+            .map(lambda kv: "{" + ", ".join(f"{k}: {v}" for k, v in kv) + "}"),
+            st.tuples(children, st.sampled_from([1, 2, MAX_DEPTH - 2, MAX_DEPTH,
+                                                 500, 990, 1100, 20_000]))
+            .map(lambda cv: "[" * cv[1] + cv[0] + "]" * cv[1]),
+        ),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(value=_json_texts, wrap=st.booleans())
+    def test_refused_or_emittable(self, value, wrap):
+        text = '{"kind": "card", "x": ' + value + "}" if wrap else value
+        try:
+            obj = _decode(text)
+        except DecodeError:
+            return
+        canonical_json_bytes(obj)
